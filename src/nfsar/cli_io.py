@@ -10,12 +10,12 @@ isolation.  A manifest records the config hash, seed, and every artifact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import struct
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +34,7 @@ from .core_model import (
 )
 from .evaluation import background_subtract, suppression_metrics
 from .imaging import (
+    AXIS_NAMES,
     ComplexImage,
     GridAxis,
     ImageGrid,
@@ -155,21 +156,17 @@ def _path_join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{_path_join(path, key)}: missing required field")
-    return obj[key]
-
-
 def _as_dict(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
     return value
 
 
-def _as_number(value, path: str) -> float:
+def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too large for a float
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
 
 
@@ -185,311 +182,152 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_as_number(value[0], path), _as_number(value[1], path))
-    raise ConfigError(f"{path}: expected a number or [real, imag] pair")
-
-
-def _as_vec3(value, path: str) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{path}: expected a [x, y, z] triple")
-    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _positive(value: float, path: str) -> float:
-    if value <= 0:
-        raise ConfigError(f"{path}: must be > 0")
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
     return value
 
 
-def _parse_radar(obj, path) -> RadarParams:
+def _as_complex(value, path: str) -> complex:
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return complex(_as_float(value, path))
+    raise ConfigError(f"{path}: expected a number or [real, imag] pair")
+
+
+_SCALAR_PARSERS = {
+    "float": _as_float,
+    "int": _as_int,
+    "bool": _as_bool,
+    "str": _as_str,
+    "complex": _as_complex,
+}
+
+_CONFIG_CLASSES = {
+    cls.__name__: cls
+    for cls in (RadarParams, Aperture, PointTarget, Interferer, Scene, Saturation, SolverConfig)
+}
+
+
+def _parse_grid(obj, path: str) -> ImageGrid:
+    """Axes are keyed by name; a later axis needs every earlier one."""
     d = _as_dict(obj, path)
-    radar = dict(
-        f0=_positive(_as_number(_require(d, "f0", path), _path_join(path, "f0")), _path_join(path, "f0")),
-        delta_f=_positive(
-            _as_number(_require(d, "delta_f", path), _path_join(path, "delta_f")),
-            _path_join(path, "delta_f"),
-        ),
-        num_freq=_as_int(_require(d, "num_freq", path), _path_join(path, "num_freq")),
-    )
-    if radar["num_freq"] < 2:
-        raise ConfigError(f"{_path_join(path, 'num_freq')}: must be >= 2")
-    if "c" in d:
-        radar["c"] = _positive(_as_number(d["c"], _path_join(path, "c")), _path_join(path, "c"))
-    return RadarParams(**radar)
-
-
-def _parse_aperture(obj, path) -> Aperture:
-    d = _as_dict(obj, path)
-    kind = _require(d, "kind", path)
-    if kind not in ("linear", "planar"):
-        raise ConfigError(f"{_path_join(path, 'kind')}: must be 'linear' or 'planar'")
-    kwargs = dict(
-        kind=kind,
-        origin=_as_vec3(d.get("origin", [0.0, 0.0, 0.0]), _path_join(path, "origin")),
-        azimuth_count=_as_int(_require(d, "azimuth_count", path), _path_join(path, "azimuth_count")),
-        azimuth_spacing=_positive(
-            _as_number(_require(d, "azimuth_spacing", path), _path_join(path, "azimuth_spacing")),
-            _path_join(path, "azimuth_spacing"),
-        ),
-    )
-    if kwargs["azimuth_count"] < 1:
-        raise ConfigError(f"{_path_join(path, 'azimuth_count')}: must be >= 1")
-    if "height_count" in d:
-        kwargs["height_count"] = _as_int(d["height_count"], _path_join(path, "height_count"))
-        if kwargs["height_count"] < 1:
-            raise ConfigError(f"{_path_join(path, 'height_count')}: must be >= 1")
-    if "height_spacing" in d:
-        kwargs["height_spacing"] = _positive(
-            _as_number(d["height_spacing"], _path_join(path, "height_spacing")),
-            _path_join(path, "height_spacing"),
-        )
-    try:
-        return Aperture(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_scene(obj, path) -> Scene:
-    d = _as_dict(obj, path) if obj is not None else {}
-    targets = []
-    for i, t in enumerate(d.get("targets", [])):
-        tp = f"{path}.targets[{i}]"
-        td = _as_dict(t, tp)
-        try:
-            targets.append(
-                PointTarget(
-                    position=_as_vec3(_require(td, "position", tp), _path_join(tp, "position")),
-                    amplitude=_as_complex(td.get("amplitude", 1.0), _path_join(tp, "amplitude")),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{tp}: {exc}") from exc
-    interferers = []
-    for i, t in enumerate(d.get("interferers", [])):
-        ip = f"{path}.interferers[{i}]"
-        idd = _as_dict(t, ip)
-        try:
-            interferers.append(
-                Interferer(
-                    delay_range=_as_number(_require(idd, "delay_range", ip), _path_join(ip, "delay_range")),
-                    amplitude=_as_complex(idd.get("amplitude", 1.0), _path_join(ip, "amplitude")),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ip}: {exc}") from exc
-    noise = _as_number(d.get("noise_sigma", 0.0), _path_join(path, "noise_sigma"))
-    if noise < 0:
-        raise ConfigError(f"{_path_join(path, 'noise_sigma')}: must be >= 0")
-    return Scene(targets=targets, interferers=interferers, noise_sigma=noise)
-
-
-def _parse_saturation(obj, path) -> Saturation:
-    if obj is None:
-        return Saturation(mode="none")
-    d = _as_dict(obj, path)
-    mode = d.get("mode", "none")
-    if mode == "none":
-        return Saturation(mode="none")
-    if mode == "hard_clip":
-        thr = _positive(
-            _as_number(_require(d, "threshold", path), _path_join(path, "threshold")),
-            _path_join(path, "threshold"),
-        )
-        return Saturation(mode="hard_clip", threshold=thr)
-    if mode == "polynomial":
-        coeffs = _require(d, "coefficients", path)
-        cp = _path_join(path, "coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{cp}: expected a non-empty list of numbers")
-        return Saturation(
-            mode="polynomial",
-            coefficients=[_as_number(v, f"{cp}[{i}]") for i, v in enumerate(coeffs)],
-        )
-    raise ConfigError(f"{_path_join(path, 'mode')}: unknown saturation mode {mode!r}")
-
-
-def _parse_axis(obj, path) -> GridAxis:
-    d = _as_dict(obj, path)
-    count = _as_int(_require(d, "count", path), _path_join(path, "count"))
-    if count < 1:
-        raise ConfigError(f"{_path_join(path, 'count')}: must be >= 1")
-    return GridAxis(
-        start=_as_number(_require(d, "start", path), _path_join(path, "start")),
-        spacing=_positive(
-            _as_number(_require(d, "spacing", path), _path_join(path, "spacing")),
-            _path_join(path, "spacing"),
-        ),
-        count=count,
-    )
-
-
-def _parse_grid(obj, path) -> ImageGrid | None:
-    if obj is None:
-        return None
-    d = _as_dict(obj, path)
-    if "range" not in d:
-        raise ConfigError(f"{_path_join(path, 'range')}: missing required field")
-    axes = [_parse_axis(d["range"], _path_join(path, "range"))]
-    if "azimuth" in d:
-        axes.append(_parse_axis(d["azimuth"], _path_join(path, "azimuth")))
-        if "height" in d:
-            axes.append(_parse_axis(d["height"], _path_join(path, "height")))
-    elif "height" in d:
-        raise ConfigError(f"{_path_join(path, 'height')}: requires an azimuth axis as well")
+    for key in d:
+        if key not in AXIS_NAMES:
+            raise ConfigError(f"{_path_join(path, key)}: unknown configuration field")
+    ndim = max(1, sum(d.get(name) is not None for name in AXIS_NAMES))
+    for name in AXIS_NAMES[:ndim]:
+        if d.get(name) is None:
+            raise ConfigError(f"{_path_join(path, name)}: missing required field")
+    axes = [_build(GridAxis, d[name], _path_join(path, name)) for name in AXIS_NAMES[:ndim]]
     return ImageGrid(tuple(axes))
 
 
-def _parse_solver(obj, path) -> SolverConfig:
-    if obj is None:
-        return SolverConfig()
-    d = _as_dict(obj, path)
+def _parse_value(annotation: str, value, path: str):
+    """Parse one JSON value according to a dataclass field's annotation string."""
+    annotation = annotation.removesuffix(" | None")
+    if annotation in _SCALAR_PARSERS:
+        return _SCALAR_PARSERS[annotation](value, path)
+    if annotation == "ImageGrid":
+        return _parse_grid(value, path)
+    if annotation in _CONFIG_CLASSES:
+        return _build(_CONFIG_CLASSES[annotation], value, path)
+    container, _, args = annotation.partition("[")
+    if container not in ("list", "tuple", "Sequence"):
+        raise TypeError(f"no config parser for annotation {annotation!r}")
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    item = args.rstrip("]").split(",")[0].strip()
+    items = [_parse_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return tuple(items) if container == "tuple" else items
+
+
+def _build(cls, obj, path: str):
+    """Construct dataclass cls from a JSON object, field by field.
+
+    Keys that are not fields of cls are rejected.  A null field takes its
+    default; a required field that is absent or null is reported as missing.
+    Range rules live in cls.__post_init__; its ValueError comes back as a
+    ConfigError prefixed with the field path.
+    """
+    d = _as_dict(obj, path or "config")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in fields:
+            raise ConfigError(f"{_path_join(path, key)}: unknown configuration field")
     kwargs = {}
-    for key in ("mu", "rho", "alpha", "beta", "tol"):
-        if key in d and d[key] is not None:
-            kwargs[key] = _as_number(d[key], _path_join(path, key))
-    if "max_iter" in d:
-        kwargs["max_iter"] = _as_int(d["max_iter"], _path_join(path, "max_iter"))
-    for key in ("auto_weights", "per_slice_3d"):
-        if key in d:
-            kwargs[key] = _as_bool(d[key], _path_join(path, key))
+    for name, f in fields.items():
+        if d.get(name) is not None:
+            kwargs[name] = _parse_value(f.type, d[name], _path_join(path, name))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{_path_join(path, name)}: missing required field")
     try:
-        return SolverConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(_path_join(path, str(exc))) from exc
 
 
-@dataclass
+def _complex_pair(value) -> list[float]:
+    if not isinstance(value, complex):
+        raise TypeError(f"cannot hash config value {value!r}")
+    return [value.real, value.imag]
+
+
+@dataclasses.dataclass
 class PipelineConfig:
     """Validated pipeline configuration mirroring the module-level types."""
 
     radar: RadarParams
     aperture: Aperture
-    scene: Scene
-    saturation: Saturation
-    grid: ImageGrid | None
-    solver: SolverConfig
+    scene: Scene = dataclasses.field(default_factory=Scene)
+    saturation: Saturation = dataclasses.field(default_factory=Saturation)
+    grid: ImageGrid | None = None
+    solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     oversample: int = 8
     seed: int = 0
     output_dir: str = "out"
     floor_db: float = -60.0
     guard_cells: int = 3
 
+    def __post_init__(self):
+        if self.oversample < 1:
+            raise ValueError("oversample: must be >= 1")
+        if self.floor_db >= 0:
+            raise ValueError("floor_db: must be < 0")
+        if self.guard_cells < 0:
+            raise ValueError("guard_cells: must be >= 0")
+        if self.grid is not None and self.grid.ndim == 3 and self.aperture.kind != "planar":
+            raise ValueError("grid: 3D imaging grid requires a planar aperture")
+
     def canonical(self) -> dict:
-        """Normalized config content; excludes output_dir (not semantic)."""
+        """Normalized config content for hashing.
 
-        def cpx(value: complex):
-            return [value.real, value.imag]
-
-        sat: dict = {"mode": self.saturation.mode}
-        if self.saturation.mode == "hard_clip":
-            sat["threshold"] = self.saturation.threshold
-        elif self.saturation.mode == "polynomial":
-            sat["coefficients"] = [float(v) for v in self.saturation.coefficients]
-        grid = None
-        if self.grid is not None:
-            names = ("range", "azimuth", "height")
-            grid = {
-                names[i]: {"start": ax.start, "spacing": ax.spacing, "count": ax.count}
-                for i, ax in enumerate(self.grid.axes)
-            }
-        return {
-            "radar": {
-                "f0": self.radar.f0,
-                "delta_f": self.radar.delta_f,
-                "num_freq": self.radar.num_freq,
-                "c": self.radar.c,
-            },
-            "aperture": {
-                "kind": self.aperture.kind,
-                "origin": list(self.aperture.origin),
-                "azimuth_count": self.aperture.azimuth_count,
-                "azimuth_spacing": self.aperture.azimuth_spacing,
-                "height_count": self.aperture.height_count,
-                "height_spacing": self.aperture.height_spacing,
-            },
-            "scene": {
-                "targets": [
-                    {"position": list(t.position), "amplitude": cpx(t.amplitude)}
-                    for t in self.scene.targets
-                ],
-                "interferers": [
-                    {"delay_range": i.delay_range, "amplitude": cpx(i.amplitude)}
-                    for i in self.scene.interferers
-                ],
-                "noise_sigma": self.scene.noise_sigma,
-            },
-            "saturation": sat,
-            "grid": grid,
-            "solver": {
-                "mu": self.solver.mu,
-                "rho": self.solver.rho,
-                "alpha": self.solver.alpha,
-                "beta": self.solver.beta,
-                "max_iter": self.solver.max_iter,
-                "tol": self.solver.tol,
-                "auto_weights": self.solver.auto_weights,
-                "per_slice_3d": self.solver.per_slice_3d,
-            },
-            "oversample": self.oversample,
-            "seed": self.seed,
-            "floor_db": self.floor_db,
-            "guard_cells": self.guard_cells,
-        }
+        Excludes output_dir (not semantic) and the saturation fields the
+        active mode ignores; grid axes are keyed by their AXIS_NAMES.
+        """
+        d = dataclasses.asdict(self)
+        del d["output_dir"]
+        active = {"hard_clip": "threshold", "polynomial": "coefficients"}.get(self.saturation.mode)
+        d["saturation"] = {k: v for k, v in d["saturation"].items() if k in ("mode", active)}
+        if d["grid"] is not None:
+            d["grid"] = dict(zip(AXIS_NAMES, d["grid"]["axes"]))
+        return d
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"), default=_complex_pair)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def parse_config(data: dict) -> PipelineConfig:
-    """Validate a decoded JSON object into a PipelineConfig."""
-    d = _as_dict(data, "config")
-    known = {
-        "radar", "aperture", "scene", "saturation", "grid", "solver",
-        "oversample", "seed", "output_dir", "floor_db", "guard_cells",
-    }
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown configuration field")
-    radar = _parse_radar(_require(d, "radar", ""), "radar")
-    aperture = _parse_aperture(_require(d, "aperture", ""), "aperture")
-    scene = _parse_scene(d.get("scene"), "scene")
-    saturation = _parse_saturation(d.get("saturation"), "saturation")
-    grid = _parse_grid(d.get("grid"), "grid")
-    solver = _parse_solver(d.get("solver"), "solver")
-    oversample = _as_int(d.get("oversample", 8), "oversample")
-    if oversample < 1:
-        raise ConfigError("oversample: must be >= 1")
-    seed = _as_int(d.get("seed", 0), "seed")
-    output_dir = d.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-    floor_db = _as_number(d.get("floor_db", -60.0), "floor_db")
-    if floor_db >= 0:
-        raise ConfigError("floor_db: must be < 0")
-    guard_cells = _as_int(d.get("guard_cells", 3), "guard_cells")
-    if guard_cells < 0:
-        raise ConfigError("guard_cells: must be >= 0")
-    if grid is not None and grid.ndim == 3 and aperture.kind != "planar":
-        raise ConfigError("grid: 3D imaging grid requires a planar aperture")
-    return PipelineConfig(
-        radar=radar,
-        aperture=aperture,
-        scene=scene,
-        saturation=saturation,
-        grid=grid,
-        solver=solver,
-        oversample=oversample,
-        seed=seed,
-        output_dir=output_dir,
-        floor_db=floor_db,
-        guard_cells=guard_cells,
-    )
+    """Validate a decoded JSON object into a PipelineConfig.
+
+    Unknown keys are rejected at every level, numbers must be finite, and a
+    null field takes its default (a required field given null is reported
+    as missing).  Errors name the field path, e.g. ``radar.delta_f``.
+    """
+    return _build(PipelineConfig, data, "")
 
 
 def load_config(path) -> PipelineConfig:
@@ -821,14 +659,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.floor_db is not None:
-            if args.floor_db >= 0:
-                raise ConfigError("floor_db: must be < 0")
-            config.floor_db = args.floor_db
+        overrides = {"output_dir": args.out, "seed": args.seed, "floor_db": args.floor_db}
+        try:
+            config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if args.verb == "pipeline":
             stages = None
             if args.stages:

@@ -40,13 +40,13 @@ class RadarParams:
 
     def __post_init__(self):
         if self.f0 <= 0:
-            raise ValueError("f0 must be > 0")
+            raise ValueError("f0: must be > 0")
         if self.delta_f <= 0:
-            raise ValueError("delta_f must be > 0")
+            raise ValueError("delta_f: must be > 0")
         if self.num_freq < 2:
-            raise ValueError("num_freq must be >= 2")
+            raise ValueError("num_freq: must be >= 2")
         if self.c <= 0:
-            raise ValueError("c must be > 0")
+            raise ValueError("c: must be > 0")
 
     @property
     def bandwidth(self) -> float:
@@ -79,18 +79,22 @@ class Aperture:
 
     def __post_init__(self):
         if self.kind not in ("linear", "planar"):
-            raise ValueError(f"unknown aperture kind {self.kind!r}")
+            raise ValueError(f"kind: must be 'linear' or 'planar', not {self.kind!r}")
+        if self.azimuth_count < 1:
+            raise ValueError("azimuth_count: must be >= 1")
+        if self.height_count < 1:
+            raise ValueError("height_count: must be >= 1")
         if self.kind == "linear" and self.height_count != 1:
-            raise ValueError("linear aperture requires height_count == 1")
-        if self.azimuth_count < 1 or self.height_count < 1:
-            raise ValueError("aperture counts must be >= 1")
+            raise ValueError("height_count: must be 1 for a linear aperture")
         if self.height_spacing is None:
             self.height_spacing = self.azimuth_spacing
-        if self.azimuth_spacing <= 0 or self.height_spacing <= 0:
-            raise ValueError("aperture spacings must be > 0")
+        if self.azimuth_spacing <= 0:
+            raise ValueError("azimuth_spacing: must be > 0")
+        if self.height_spacing <= 0:
+            raise ValueError("height_spacing: must be > 0")
         self.origin = tuple(float(v) for v in self.origin)
         if len(self.origin) != 3:
-            raise ValueError("origin must be a 3-vector")
+            raise ValueError("origin: must be a 3-vector")
 
     @property
     def num_positions(self) -> int:
@@ -125,12 +129,12 @@ class PointTarget:
     def __post_init__(self):
         self.position = tuple(float(v) for v in self.position)
         if len(self.position) != 3:
-            raise ValueError("target position must be a 3-vector")
+            raise ValueError("position: must be a 3-vector")
         if self.position[1] <= 0:
-            raise ValueError("target must lie in front of the aperture plane (y > 0)")
+            raise ValueError("position: must lie in front of the aperture plane (y > 0)")
         self.amplitude = complex(self.amplitude)
         if not np.isfinite(self.amplitude.real) or not np.isfinite(self.amplitude.imag):
-            raise ValueError("target amplitude must be finite")
+            raise ValueError("amplitude: must be finite")
 
 
 @dataclass
@@ -147,10 +151,10 @@ class Interferer:
     def __post_init__(self):
         self.delay_range = float(self.delay_range)
         if self.delay_range < 0:
-            raise ValueError("delay_range must be >= 0")
+            raise ValueError("delay_range: must be >= 0")
         self.amplitude = complex(self.amplitude)
         if not np.isfinite(self.amplitude.real) or not np.isfinite(self.amplitude.imag):
-            raise ValueError("interferer amplitude must be finite")
+            raise ValueError("amplitude: must be finite")
 
 
 @dataclass
@@ -163,7 +167,7 @@ class Scene:
 
     def __post_init__(self):
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ValueError("noise_sigma: must be >= 0")
 
 
 @dataclass
@@ -176,13 +180,13 @@ class Saturation:
 
     def __post_init__(self):
         if self.mode not in ("none", "hard_clip", "polynomial"):
-            raise ValueError(f"unknown saturation mode {self.mode!r}")
+            raise ValueError(f"mode: must be 'none', 'hard_clip' or 'polynomial', not {self.mode!r}")
         if self.mode == "hard_clip":
             if self.threshold is None or self.threshold <= 0:
-                raise ValueError("hard_clip requires threshold > 0")
+                raise ValueError("threshold: must be > 0 in hard_clip mode")
         if self.mode == "polynomial":
             if self.coefficients is None or len(self.coefficients) == 0:
-                raise ValueError("polynomial mode requires non-empty coefficients")
+                raise ValueError("coefficients: must be non-empty in polynomial mode")
 
 
 @dataclass

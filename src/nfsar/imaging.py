@@ -94,9 +94,9 @@ class GridAxis:
 
     def __post_init__(self):
         if self.spacing <= 0:
-            raise ValueError("grid spacing must be > 0")
+            raise ValueError("spacing: must be > 0")
         if self.count < 1:
-            raise ValueError("grid count must be >= 1")
+            raise ValueError("count: must be >= 1")
 
     def values(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.count)

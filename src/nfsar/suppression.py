@@ -33,16 +33,18 @@ class SolverConfig:
     per_slice_3d: bool = False  # decompose each height slice separately
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0) or not (0.0 < self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in (0, 1]")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha: must lie in (0, 1]")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError("beta: must lie in (0, 1]")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError("max_iter: must be >= 1")
         if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+            raise ValueError("tol: must be > 0")
         if self.mu is not None and self.mu < 0:
-            raise ValueError("mu must be >= 0")
+            raise ValueError("mu: must be >= 0")
         if self.rho is not None and self.rho < 0:
-            raise ValueError("rho must be >= 0")
+            raise ValueError("rho: must be >= 0")
 
 
 @dataclass

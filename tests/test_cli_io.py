@@ -131,6 +131,65 @@ class TestLoadConfig:
         b["output_dir"] = "elsewhere"
         assert parse_config(a).config_hash == parse_config(b).config_hash
 
+    def test_config_hash_pinned(self, tmp_path):
+        assert parse_config(minimal_config()).config_hash == (
+            "74deda0a5888fddb92e6edfb72ee75cc8eebce0ba977f5ef02acbee564050a8c"
+        )
+        # output_dir is tmp_path-specific, so a pinned hash shows it is not hashed
+        assert parse_config(pipeline_config(tmp_path / "out")).config_hash == (
+            "609436ca238f61e261c3e77105d2d01f07d3df927a8d948f807586ccedc7ab64"
+        )
+        poly = minimal_config()
+        poly["saturation"] = {"mode": "polynomial", "coefficients": [0, 1, 0, -0.1]}
+        assert parse_config(poly).config_hash == (
+            "fc738e42f9ba4f3c0592af8052d7d2a879c4feee6994c560395020161dd62ef1"
+        )
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("radar", "f0", float("nan")),
+        ("scene", "noise_sigma", float("inf")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        cfg = minimal_config()
+        cfg[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # writes the NaN / Infinity literals
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section,key", [
+        ("solver", "max_iters"),
+        ("radar", "deltaf"),
+        ("grid", "heigth"),
+    ])
+    def test_unknown_nested_field_rejected(self, section, key):
+        cfg = pipeline_config("out")
+        cfg[section][key] = 3
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown configuration field"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("section,key,value,expected", [
+        ("aperture", "height_count", 0, "aperture.height_count: must be >= 1"),
+        ("aperture", "height_count", 2, "aperture.height_count: must be 1"),
+        ("solver", "alpha", 2.0, r"solver.alpha: must lie in \(0, 1\]"),
+        ("scene", "targets", [{"position": [0.0, -1.0, 0.0]}], r"scene.targets\[0\].position: must lie"),
+    ])
+    def test_range_error_names_field_path(self, section, key, value, expected):
+        cfg = pipeline_config("out")
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match="^" + expected):
+            parse_config(cfg)
+
+    def test_null_takes_default_and_required_null_is_missing(self):
+        cfg = minimal_config()
+        cfg.update(scene=None, solver={"mu": None, "max_iter": None}, floor_db=None)
+        parsed = parse_config(cfg)
+        assert parsed.scene.targets == [] and parsed.solver.max_iter == 500
+        assert parsed.floor_db == -60.0
+        cfg["radar"]["num_freq"] = None
+        with pytest.raises(ConfigError, match="radar.num_freq: missing required field"):
+            parse_config(cfg)
+
 
 class TestArrayFormat:
     def test_single_value_round_trip(self, tmp_path):
@@ -383,3 +442,8 @@ class TestCli:
         assert main(["simulate", "--config", str(path), "--seed", "4"]) == 0
         b, _ = read_array(tmp_path / "out" / "echo.nfsc")
         assert not np.array_equal(a, b)
+
+    def test_floor_db_override_rejected(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        assert main(["pipeline", "--config", str(path), "--floor-db", "5"]) == 2
+        assert "floor_db" in capsys.readouterr().err
