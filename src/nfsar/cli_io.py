@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -491,31 +492,36 @@ def stage_suppress(config: PipelineConfig, out: Path) -> dict:
     image = _load_image(out, IMAGE_FILE, "image")
     if image.grid.ndim == 3:
         target, interference, results = decompose_volume(image, config.solver)
-        info = results[0]
-        iterations = sum(r.iterations_run for r in results)
-        converged = all(r.converged for r in results)
-        residual = float(np.sqrt(sum(r.residual_norm**2 for r in results)))
     elif image.grid.ndim == 2:
-        info = decompose(image.values, config.solver)
-        target = ComplexImage(info.target, image.grid)
-        interference = ComplexImage(info.interference, image.grid)
-        iterations = info.iterations_run
-        converged = info.converged
-        residual = info.residual_norm
+        result = decompose(image.values, config.solver)
+        target = ComplexImage(result.target, image.grid)
+        interference = ComplexImage(result.interference, image.grid)
+        results = [result]
     else:
         raise PipelineError("suppress stage needs a 2D or 3D image artifact")
 
     meta = _grid_axes_meta(image.grid)
     write_array(out / TARGET_FILE, target.values, meta)
     write_array(out / INTERFERENCE_FILE, interference.values, meta)
+    slices = [
+        {
+            "mu": r.mu,
+            "rho": r.rho,
+            "iterations": r.iterations_run,
+            "converged": r.converged,
+            "residual_norm": r.residual_norm,
+        }
+        for r in results
+    ]
     with open(out / "decomposition.json", "w") as fh:
         json.dump(
             {
-                "mu": info.mu,
-                "rho": info.rho,
-                "iterations": iterations,
-                "converged": converged,
-                "residual_norm": residual,
+                "mu": results[0].mu,
+                "rho": results[0].rho,
+                "iterations": sum(r.iterations_run for r in results),
+                "converged": all(r.converged for r in results),
+                "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),
+                "slices": slices,
             },
             fh,
             indent=2,
@@ -523,9 +529,10 @@ def stage_suppress(config: PipelineConfig, out: Path) -> dict:
         )
         fh.write("\n")
     with open(out / "objective_trace.csv", "w") as fh:
-        fh.write("iteration,objective\n")
-        for i, val in enumerate(info.objective_trace, start=1):
-            fh.write(f"{i},{val:.12e}\n")
+        fh.write("slice,iteration,objective\n")
+        for k, r in enumerate(results):
+            for i, val in enumerate(r.objective_trace, start=1):
+                fh.write(f"{k},{i},{val:.12e}\n")
     kwargs = {"slice_axis": "height"} if image.grid.ndim == 3 else {}
     export_db_image(target, config.floor_db, out / "target_db", **kwargs)
     export_db_image(interference, config.floor_db, out / "interference_db", **kwargs)
@@ -553,13 +560,16 @@ def stage_evaluate(config: PipelineConfig, out: Path) -> dict:
     reference = background_subtract(raw, image_bg)
     write_array(out / REFERENCE_FILE, reference.values, _grid_axes_meta(reference.grid))
 
-    report = suppression_metrics(
-        raw,
-        suppressed,
-        reference,
-        [t.position for t in config.scene.targets],
-        guard_cells=config.guard_cells,
-    )
+    try:
+        report = suppression_metrics(
+            raw,
+            suppressed,
+            reference,
+            [t.position for t in config.scene.targets],
+            guard_cells=config.guard_cells,
+        )
+    except ValueError as exc:
+        raise PipelineError(f"evaluate: {exc}") from exc
     (out / REPORT_FILE).write_text(report.to_text())
     header, row = report.to_csv_row()
     (out / "report.csv").write_text(header + "\n" + row + "\n")
@@ -576,26 +586,39 @@ STAGE_FUNCS = {
 
 
 class _OutputLock:
-    """Exclusive lockfile so two pipelines cannot write one directory."""
+    """Exclusive lock so two pipelines cannot write one directory.
+
+    The lock is an flock held on an open descriptor of <out>/.lock, so the
+    OS releases it when the holding process exits, however it ends; a .lock
+    file left behind by a killed run does not block later runs.
+    """
 
     def __init__(self, out: Path):
         self.path = out / ".lock"
         self.fd = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise PipelineError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lockfile if that run is dead"
-            ) from None
-        return self
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise PipelineError(f"output directory is locked by another run ({self.path})") from None
+            # A run releasing the lock unlinks the file first; if that
+            # happened after our open, we hold a lock on an orphan: retry.
+            try:
+                current = os.path.samestat(os.fstat(fd), os.stat(self.path))
+            except FileNotFoundError:
+                current = False
+            if current:
+                self.fd = fd
+                return self
+            os.close(fd)
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)
+        os.close(self.fd)
         return False
 
 

@@ -179,7 +179,8 @@ def suppression_metrics(
     the target regions.  Reported values: per-target absolute peak error in
     dB between suppressed and reference, interference-region energy of the
     suppressed image relative to raw (negative is better), and the change in
-    target-to-elsewhere energy ratio.
+    target-to-elsewhere energy ratio.  Raises ValueError naming the metric
+    when one is not finite, e.g. when the suppressed target region is empty.
     """
     if raw.grid != suppressed.grid or raw.grid != reference.grid:
         raise ValueError("suppression_metrics requires identical grids")
@@ -216,6 +217,12 @@ def suppression_metrics(
         sup_energy[off_mask].sum(), ENERGY_FLOOR * sup_energy.sum() + ENERGY_FLOOR
     )
     sinr_gain_db = 10.0 * np.log10(sup_sinr / raw_sinr)
+
+    named = [(f"target_peak_error_db_{k}", e) for k, e in enumerate(errors)]
+    named += [("interference_residual_db", residual_db), ("sinr_gain_db", sinr_gain_db)]
+    for name, value in named:
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is not finite ({value})")
 
     return SuppressionReport(
         target_peak_error_db=errors,

@@ -80,9 +80,13 @@ def objective(interfered, target, interference, mu: float, rho: float) -> float:
     c_mat = np.asarray(interference)
     if not (i_mat.shape == x_mat.shape == c_mat.shape):
         raise ValueError("objective requires matching matrix dimensions")
-    resid = 0.5 * np.linalg.norm(i_mat - c_mat - x_mat) ** 2
-    nuclear = np.sum(np.linalg.svd(c_mat, compute_uv=False))
-    l1 = np.sum(np.abs(x_mat))
+    return _objective_value(i_mat, x_mat, c_mat, mu, rho, np.sum(np.linalg.svd(c_mat, compute_uv=False)))
+
+
+def _objective_value(i_mat, x, c, mu: float, rho: float, nuclear: float) -> float:
+    """The objective with ||C||_* supplied by the caller."""
+    resid = 0.5 * np.linalg.norm(i_mat - c - x) ** 2
+    l1 = np.sum(np.abs(x))
     return float(resid + rho * nuclear + mu * l1)
 
 
@@ -106,24 +110,63 @@ def update_target(target_prev, interference_prev, interfered, alpha: float, mu: 
     i_mat = np.asarray(interfered)
     if not (x.shape == c.shape == i_mat.shape):
         raise ValueError("update_target requires matching matrix dimensions")
+    return _target_step(x, c, i_mat, alpha, mu)
+
+
+def _target_step(x, c, i_mat, alpha: float, mu: float) -> np.ndarray:
     return soft_threshold_entries(x + alpha * (i_mat - c - x), alpha * mu)
 
 
 def singular_value_threshold(matrix, threshold: float) -> np.ndarray:
     """Shrink the singular values of a complex matrix by threshold.
 
-    Computes the thin SVD, replaces each singular value s with
-    max(s - threshold, 0) and reconstructs; this is the proximal map of the
-    nuclear norm.
+    Replaces each singular value s with max(s - threshold, 0) and
+    reconstructs; this is the proximal map of the nuclear norm.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    u, s, vh = _thin_svd(matrix)
-    return (u * np.maximum(s - threshold, 0.0)) @ vh
+    return _svt(np.asarray(matrix, dtype=np.complex128), threshold)[0]
 
 
-def _thin_svd(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = np.asarray(matrix, dtype=np.complex128)
+# The Gram route squares the singular values, so a kept value s_k > t carries
+# an error of about eps*sigma_1**2/(2*s_k) <= eps*sigma_1/(2*t): about
+# 1e-12*sigma_1 at this ratio of t to sigma_1.  Below it the SVD is used.
+_GRAM_MIN_THRESHOLD_RATIO = 1e-4
+
+
+def _svt(m: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Singular value thresholding of a complex128 matrix by one factorization.
+
+    Returns (C, s, u, vh): the shrunk matrix, the singular values of m above
+    threshold (descending) and their left and right singular vectors, so
+    that C = (u * (s - threshold)) @ vh.
+
+    Works on A = m or its conjugate transpose, whichever has fewer rows, by
+    the eigendecomposition of the small Gram matrix A A^H.  Falls back to the
+    thin SVD of m when the threshold is too small for the Gram route's
+    accuracy, or when the Gram matrix overflows, underflows or is zero.
+    """
+    wide = m.shape[0] <= m.shape[1]
+    a = m if wide else m.conj().T
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        gram = a @ a.conj().T
+    if gram.size and np.isfinite(gram).all():
+        w, q = np.linalg.eigh(gram)
+        if w[-1] >= np.finfo(float).tiny and threshold >= _GRAM_MIN_THRESHOLD_RATIO * np.sqrt(w[-1]):
+            s = np.sqrt(np.maximum(w[::-1], 0.0))
+            r = int(np.count_nonzero(s > threshold))
+            s, u = s[:r], q[:, ::-1][:, :r]
+            vh = (u.conj().T @ a) / s[:, None]  # A = u diag(s) vh on the kept directions
+            if not wide:  # m = A^H
+                u, vh = vh.conj().T, u.conj().T
+            return (u * (s - threshold)) @ vh, s, u, vh
+    u, s, vh = _thin_svd(m)
+    r = int(np.count_nonzero(s > threshold))
+    u, s, vh = u[:, :r], s[:r], vh[:r]
+    return (u * (s - threshold)) @ vh, s, u, vh
+
+
+def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -147,19 +190,15 @@ def _interference_step_point(c, x, i_mat, beta: float) -> np.ndarray:
     return c + beta * (i_mat - c - x)
 
 
-def _refit_interference(c_prev, x, i_mat, beta: float, rho: float) -> np.ndarray:
+def _refit_interference(u, vh, x, i_mat) -> np.ndarray:
     """Least-squares refit of the last low-rank step's output.
 
-    Recomputes the SVD that update_interference(c_prev, x, i_mat, beta, rho)
-    thresholded, keeps the r directions it retained (singular values above
-    beta*rho) and replaces each shrunk singular value by the least-squares
-    coefficient of I - X on that direction.  With beta = 1 the coefficients
-    are the unshrunk singular values of I - X.  Returns zero when the step
-    retained nothing.
+    u and vh are the singular vectors that step kept.  Each shrunk singular
+    value is replaced by the least-squares coefficient u_k^H (I - X) v_k of
+    I - X on that direction.  With beta = 1 the coefficients are the
+    unshrunk singular values of I - X.  Returns zero when the step retained
+    nothing.
     """
-    u, s, vh = _thin_svd(_interference_step_point(c_prev, x, i_mat, beta))
-    rank = int(np.count_nonzero(s > beta * rho))
-    u, vh = u[:, :rank], vh[:rank]
     coeffs = np.sum(u.conj() * ((i_mat - x) @ vh.conj().T), axis=0)
     return (u * coeffs) @ vh
 
@@ -219,25 +258,23 @@ def decompose(
     if x.shape != i_mat.shape or c.shape != i_mat.shape:
         raise ValueError("initial iterates must match the input dimensions")
 
+    threshold = cfg.beta * rho
     trace: list[float] = []
     converged = False
     iterations = 0
-    c_prev = c
     for iterations in range(1, cfg.max_iter + 1):
-        x_new = update_target(x, c, i_mat, cfg.alpha, mu)
-        c_new = update_interference(c, x_new, i_mat, cfg.beta, rho)
-        if not (np.all(np.isfinite(x_new.real)) and np.all(np.isfinite(c_new.real))
-                and np.all(np.isfinite(x_new.imag)) and np.all(np.isfinite(c_new.imag))):
+        x_new = _target_step(x, c, i_mat, cfg.alpha, mu)
+        c_new, s, u, vh = _svt(_interference_step_point(c, x_new, i_mat, cfg.beta), threshold)
+        if not (np.isfinite(x_new).all() and np.isfinite(c_new).all()):
             raise RuntimeError(f"non-finite iterate at iteration {iterations}")
-        trace.append(objective(i_mat, x_new, c_new, mu, rho))
+        trace.append(_objective_value(i_mat, x_new, c_new, mu, rho, np.sum(s - threshold)))
         change = max(_relative_change(x_new, x), _relative_change(c_new, c))
-        c_prev = c
         x, c = x_new, c_new
         if change < cfg.tol:
             converged = True
             break
 
-    c = _refit_interference(c_prev, x, i_mat, cfg.beta, rho)
+    c = _refit_interference(u, vh, x, i_mat)
     residual = float(np.linalg.norm(i_mat - x - c))
     return DecompositionResult(
         target=x,

@@ -1,3 +1,4 @@
+import fcntl
 import json
 
 import numpy as np
@@ -297,6 +298,23 @@ class TestExportDbImage:
             export_db_image(vol, -60.0, tmp_path / "v3", slice_axis="range", slice_index=9)
 
 
+def volume_config(out_dir):
+    return {
+        "radar": {"f0": 9e9, "delta_f": 46875000.0, "num_freq": 64},
+        "aperture": {"kind": "planar", "origin": [-0.105, 0.0, -0.105],
+                     "azimuth_count": 8, "azimuth_spacing": 0.03,
+                     "height_count": 8, "height_spacing": 0.03},
+        "scene": {"targets": [{"position": [0.0, 2.0, 0.0], "amplitude": 1.0}],
+                  "interferers": [{"delay_range": 1.9, "amplitude": 4.0}]},
+        "grid": {"range": {"start": 1.8, "spacing": 0.025, "count": 13},
+                 "azimuth": {"start": -0.075, "spacing": 0.025, "count": 7},
+                 "height": {"start": -0.075, "spacing": 0.025, "count": 7}},
+        "solver": {"mu": 0.05, "rho": 0.5, "auto_weights": False},
+        "oversample": 4,
+        "output_dir": str(out_dir),
+    }
+
+
 class TestPipeline:
     def test_full_run_produces_manifest_and_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -332,7 +350,12 @@ class TestPipeline:
         assert (out / "target.nfsc").exists()
         assert (out / "interference.nfsc").exists()
         assert (out / "decomposition.json").exists()
-        assert (out / "objective_trace.csv").exists()
+        record = json.loads((out / "decomposition.json").read_text())
+        assert len(record["slices"]) == 1
+        assert record["slices"][0]["iterations"] == record["iterations"]
+        lines = (out / "objective_trace.csv").read_text().splitlines()
+        assert lines[0] == "slice,iteration,objective"
+        assert lines[1].startswith("0,1,") and len(lines) == record["iterations"] + 1
         assert not (out / "report.txt").exists()
         assert {"target", "interference"} <= set(manifest["artifacts"])
 
@@ -350,36 +373,70 @@ class TestPipeline:
     def test_lockfile_blocks_concurrent_writers(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text("")
         config = parse_config(pipeline_config(out))
-        with pytest.raises(PipelineError, match="locked"):
-            run_pipeline(config, stages=["simulate"])
-        (out / ".lock").unlink()
+        with open(out / ".lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            with pytest.raises(PipelineError, match="locked"):
+                run_pipeline(config, stages=["simulate"])
         run_pipeline(config, stages=["simulate"])
         assert not (out / ".lock").exists()
 
+    def test_stale_lockfile_is_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text("")  # left behind by a killed run
+        run_pipeline(parse_config(pipeline_config(out)), stages=["simulate"])
+        assert (out / "echo.nfsc").exists()
+        assert not (out / ".lock").exists()
+
+    def test_non_finite_metric_fails_evaluate(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = parse_config(pipeline_config(out))
+        run_pipeline(config, stages=["simulate", "compress", "image", "suppress"])
+        target, axes = read_array(out / "target.nfsc")
+        write_array(out / "target.nfsc", np.zeros_like(target), axes)
+        with np.errstate(divide="ignore"), pytest.raises(PipelineError, match="sinr_gain_db is not finite"):
+            run_pipeline(config, stages=["evaluate"])
+        assert not (out / "report.txt").exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(pipeline_config(out)))
+        with np.errstate(divide="ignore"):
+            assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        assert "sinr_gain_db is not finite" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_3d_pipeline_paths(self, tmp_path):
         out = tmp_path / "out3"
-        cfg = {
-            "radar": {"f0": 9e9, "delta_f": 46875000.0, "num_freq": 64},
-            "aperture": {"kind": "planar", "origin": [-0.105, 0.0, -0.105],
-                         "azimuth_count": 8, "azimuth_spacing": 0.03,
-                         "height_count": 8, "height_spacing": 0.03},
-            "scene": {"targets": [{"position": [0.0, 2.0, 0.0], "amplitude": 1.0}],
-                      "interferers": [{"delay_range": 1.9, "amplitude": 4.0}]},
-            "grid": {"range": {"start": 1.8, "spacing": 0.025, "count": 13},
-                     "azimuth": {"start": -0.075, "spacing": 0.025, "count": 7},
-                     "height": {"start": -0.075, "spacing": 0.025, "count": 7}},
-            "solver": {"mu": 0.05, "rho": 0.5, "auto_weights": False},
-            "oversample": 4,
-            "output_dir": str(out),
-        }
-        config = parse_config(cfg)
+        config = parse_config(volume_config(out))
         run_pipeline(config)
         data, _ = read_array(out / "target.nfsc")
         assert data.shape == (13, 7, 7)
         assert (out / "target_db.pgm").exists()
         assert (out / "report.txt").exists()
+
+    def test_3d_per_slice_run_records_every_slice(self, tmp_path):
+        out = tmp_path / "out3"
+        cfg = volume_config(out)
+        cfg["solver"]["per_slice_3d"] = True
+        cfg_path = tmp_path / "cfg3.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(cfg_path), "--stages", "simulate,compress,image,suppress"]) == 0
+        record = json.loads((out / "decomposition.json").read_text())
+        slices = record["slices"]
+        assert len(slices) == 7
+        assert record["iterations"] == sum(s["iterations"] for s in slices)
+        assert record["converged"] == all(s["converged"] for s in slices)
+        assert record["residual_norm"] == pytest.approx(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices)))
+        for s in slices:
+            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm"}
+            assert (s["mu"], s["rho"]) == (0.05, 0.5)
+        lines = (out / "objective_trace.csv").read_text().splitlines()
+        assert lines[0] == "slice,iteration,objective"
+        rows = [line.split(",") for line in lines[1:]]
+        for k, s in enumerate(slices):
+            iters = [int(r[1]) for r in rows if int(r[0]) == k]
+            assert iters == list(range(1, s["iterations"] + 1))
+        assert len(rows) == record["iterations"]
 
     def test_seed_changes_noise_artifacts(self, tmp_path):
         cfg = pipeline_config(tmp_path / "s1")

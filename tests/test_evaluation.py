@@ -220,6 +220,12 @@ class TestSuppressionMetrics:
         assert report.target_mask[10, 10]
         assert not (report.target_mask & report.interference_mask).any()
 
+    def test_zero_suppressed_image_is_an_error_not_a_metric(self):
+        raw, targets = self.setup_images()
+        zero = ComplexImage(np.zeros_like(raw.values), raw.grid)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="sinr_gain_db is not finite"):
+            suppression_metrics(raw, zero, raw, targets, guard_cells=2)
+
     def test_report_serialization(self):
         raw, targets = self.setup_images()
         report = suppression_metrics(raw, raw, raw, targets, guard_cells=2)

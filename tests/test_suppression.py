@@ -4,6 +4,7 @@ import pytest
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
 from nfsar.suppression import (
     SolverConfig,
+    _svt,
     decompose,
     decompose_volume,
     default_params,
@@ -157,36 +158,119 @@ class TestSingularValueThreshold:
         # the nuclear prox separates over singular values once U, V are
         # fixed; 1D brute force per value cannot beat the closed form
         rng = np.random.default_rng(9)
-        z = random_complex(rng, (4, 4))
         t = 0.5
-        out = singular_value_threshold(z, t)
-        u, s, vh = np.linalg.svd(z, full_matrices=False)
+        for shape in ((4, 4), (6, 4), (4, 6)):
+            z = random_complex(rng, shape)
+            out = singular_value_threshold(z, t)
+            u, s, vh = np.linalg.svd(z, full_matrices=False)
 
-        def sub_objective(y):
-            return 0.5 * np.linalg.norm(y - z) ** 2 + t * np.linalg.svd(y, compute_uv=False).sum()
+            def sub_objective(y):
+                return 0.5 * np.linalg.norm(y - z) ** 2 + t * np.linalg.svd(y, compute_uv=False).sum()
 
-        best = sub_objective(out)
-        for l in range(4):
-            for g in np.linspace(0.0, s[l] * 1.5, 61):
-                gammas = np.maximum(s - t, 0.0)
-                gammas[l] = g
-                trial = (u * gammas) @ vh
-                assert sub_objective(trial) >= best - 1e-10
+            best = sub_objective(out)
+            for l in range(s.size):
+                for g in np.linspace(0.0, s[l] * 1.5, 61):
+                    gammas = np.maximum(s - t, 0.0)
+                    gammas[l] = g
+                    trial = (u * gammas) @ vh
+                    assert sub_objective(trial) >= best - 1e-10
 
     def test_random_perturbations_never_improve(self):
         rng = np.random.default_rng(10)
-        z = random_complex(rng, (5, 5))
         t = 0.6
-        out = singular_value_threshold(z, t)
+        for shape in ((5, 5), (7, 5), (5, 7)):
+            z = random_complex(rng, shape)
+            out = singular_value_threshold(z, t)
 
-        def sub_objective(y):
-            return 0.5 * np.linalg.norm(y - z) ** 2 + t * np.linalg.svd(y, compute_uv=False).sum()
+            def sub_objective(y):
+                return 0.5 * np.linalg.norm(y - z) ** 2 + t * np.linalg.svd(y, compute_uv=False).sum()
 
-        base = sub_objective(out)
-        for _ in range(100):
-            e = random_complex(rng, (5, 5))
-            e /= np.linalg.norm(e)
-            assert sub_objective(out + 1e-3 * e) >= base - 1e-12
+            base = sub_objective(out)
+            for _ in range(100):
+                e = random_complex(rng, shape)
+                e /= np.linalg.norm(e)
+                assert sub_objective(out + 1e-3 * e) >= base - 1e-12
+
+
+def svt_by_thin_svd(m, t):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - t, 0.0)) @ vh
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the np.linalg.svd calls made after the fixture is set up."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def svt_cases():
+    rng = np.random.default_rng(30)
+    deficient = random_complex(rng, (25, 3)) @ random_complex(rng, (3, 15))
+    return {
+        "tall": random_complex(rng, (30, 12)),
+        "wide": random_complex(rng, (12, 30)),
+        "square": random_complex(rng, (20, 20)),
+        "rank_deficient_tall": deficient,
+        "rank_deficient_wide": deficient.conj().T,
+    }
+
+
+class TestSvtKernel:
+    """The private one-factorization kernel behind singular_value_threshold."""
+
+    @pytest.mark.parametrize("name", list(svt_cases()))
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0, 1.5])
+    def test_gram_route_matches_thin_svd(self, name, fraction, svd_calls):
+        m = svt_cases()[name]
+        sigma = np.linalg.svd(m, compute_uv=False)
+        t = fraction * sigma[0]
+        expected = svt_by_thin_svd(m, t)
+        svd_calls.clear()
+        c, s, u, vh = _svt(m, t)
+        assert svd_calls == []
+        tol = 1e-12 * sigma[0]
+        assert np.abs(c - expected).max() <= tol
+        # the kept values are the singular values above t (up to ties with t)
+        assert np.all(s > t) and np.abs(s - sigma[: s.size]).max(initial=0.0) <= tol
+        assert s.size >= np.count_nonzero(sigma > t + tol)
+        assert u.shape == (m.shape[0], s.size) and vh.shape == (s.size, m.shape[1])
+        assert np.abs((u * (s - t)) @ vh - c).max() <= tol
+        assert np.abs(u.conj().T @ u - np.eye(s.size)).max(initial=0.0) <= 1e-10
+        assert np.abs(vh @ vh.conj().T - np.eye(s.size)).max(initial=0.0) <= 1e-10
+
+    def test_zero_matrix_gives_zero(self, svd_calls):
+        c, s, u, vh = _svt(np.zeros((4, 7), dtype=complex), 0.5)
+        assert svd_calls == [(4, 7)]
+        assert c.shape == (4, 7) and np.all(c == 0)
+        assert s.size == 0 and u.shape == (4, 0) and vh.shape == (0, 7)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-5])
+    def test_threshold_below_cutoff_takes_svd_path(self, ratio, svd_calls):
+        m = svt_cases()["wide"]
+        sigma1 = np.linalg.svd(m, compute_uv=False)[0]
+        expected = svt_by_thin_svd(m, ratio * sigma1)
+        svd_calls.clear()
+        c = _svt(m, ratio * sigma1)[0]
+        assert svd_calls == [m.shape]
+        assert np.abs(c - expected).max() <= 1e-12 * sigma1
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_gram_that_overflows_or_underflows_takes_svd_path(self, scale, svd_calls):
+        m = svt_cases()["tall"] * scale
+        sigma1 = np.linalg.svd(m, compute_uv=False)[0]
+        expected = svt_by_thin_svd(m, 0.3 * sigma1)
+        svd_calls.clear()
+        c = _svt(m, 0.3 * sigma1)[0]
+        assert svd_calls == [m.shape]
+        assert np.abs(c - expected).max() <= 1e-12 * sigma1
 
 
 class TestUpdateInterference:
@@ -315,7 +399,7 @@ class TestDecompose:
             trace.append(objective(i, x, c, mu, rho))
         assert res.iterations_run == n_iter and not res.converged
         assert np.array_equal(res.target, x)
-        assert res.objective_trace == trace
+        assert res.objective_trace == pytest.approx(trace, rel=1e-12, abs=0)
 
         def rank(m):
             sv = np.linalg.svd(m, compute_uv=False)
@@ -323,6 +407,37 @@ class TestDecompose:
 
         assert rank(c) == 2
         assert rank(res.interference) == rank(c)
+
+    @pytest.mark.parametrize("shape", [(24, 10), (10, 24)])
+    def test_trace_is_the_objective_of_each_iterate(self, shape):
+        rng = np.random.default_rng(24)
+        low = random_complex(rng, (shape[0], 2)) @ random_complex(rng, (2, shape[1]))
+        i = low + soft_threshold_entries(random_complex(rng, shape), 2.0)
+        mu, rho, n_iter = 0.3, 1.5, 15
+        res = decompose(i, SolverConfig(mu=mu, rho=rho, auto_weights=False, max_iter=n_iter, tol=1e-300))
+        x = np.zeros_like(i)
+        c = np.zeros_like(i)
+        for k in range(n_iter):
+            x = update_target(x, c, i, 1.0, mu)
+            c = update_interference(c, x, i, 1.0, rho)
+            assert res.objective_trace[k] == pytest.approx(objective(i, x, c, mu, rho), rel=1e-12, abs=0)
+        assert np.array_equal(res.target, x)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_scaled_input_and_weights_scale_the_split(self, scale):
+        rng = np.random.default_rng(25)
+        i = rank_k(rng, 16, [6.0, 2.0]) + soft_threshold_entries(random_complex(rng, (16, 16)), 1.5)
+        i = i[:, :12]
+        mu, rho = 0.2, 1.0
+        cfg = SolverConfig(mu=mu, rho=rho, auto_weights=False, max_iter=200)
+        base = decompose(i, cfg)
+        scaled = decompose(scale * i, SolverConfig(mu=scale * mu, rho=scale * rho, auto_weights=False,
+                                                   max_iter=200))
+        assert scaled.iterations_run == base.iterations_run
+        x_max = np.abs(base.target).max()
+        assert np.abs(scaled.target / scale - base.target).max() <= 1e-12 * x_max
+        c_max = np.abs(base.interference).max()
+        assert np.abs(scaled.interference / scale - base.interference).max() <= 1e-12 * c_max
 
     def test_low_rank_part_refits_singular_values_of_residual(self):
         rng = np.random.default_rng(22)
