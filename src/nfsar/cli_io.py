@@ -35,6 +35,7 @@ from .core_model import (
 )
 from .evaluation import background_subtract, suppression_metrics
 from .imaging import (
+    APERTURE_FOR_NDIM,
     AXIS_NAMES,
     ComplexImage,
     GridAxis,
@@ -298,8 +299,12 @@ class PipelineConfig:
             raise ValueError("floor_db: must be < 0")
         if self.guard_cells < 0:
             raise ValueError("guard_cells: must be >= 0")
-        if self.grid is not None and self.grid.ndim == 3 and self.aperture.kind != "planar":
-            raise ValueError("grid: 3D imaging grid requires a planar aperture")
+        if self.grid is not None:
+            kind = APERTURE_FOR_NDIM.get(self.grid.ndim)
+            if kind is None:
+                raise ValueError("grid: imaging needs a 2D or 3D grid")
+            if self.aperture.kind != kind:
+                raise ValueError(f"grid: {self.grid.ndim}D imaging grid requires a {kind} aperture")
 
     def canonical(self) -> dict:
         """Normalized config content for hashing.
@@ -366,7 +371,7 @@ def export_db_image(
     the maximum projection along that axis is exported.
     """
     db = image_to_db(image, floor_db)
-    names = ("range", "azimuth", "height")[: image.grid.ndim]
+    names = AXIS_NAMES[: image.grid.ndim]
     if image.grid.ndim == 3:
         if slice_axis is None:
             raise ValueError("3D image export needs a slice_axis (and optional slice_index)")
@@ -414,11 +419,21 @@ def _entry(out: Path, filename: str, extents=None) -> dict:
     return e
 
 
-def _need(out: Path, filename: str, producer: str) -> Path:
+def _need(out: Path, artifacts: dict, filename: str, producer: str) -> Path:
+    """Path of an upstream artifact that this config's runs produced.
+
+    artifacts holds the entries made under the current config hash, carried
+    over from the manifest or added by an earlier stage of this run.
+    """
     path = out / filename
     if not path.exists():
         raise PipelineError(
             f"missing upstream artifact {filename!r} (run stage {producer!r} first)"
+        )
+    if not any(entry["file"] == filename for entry in artifacts.values()):
+        raise PipelineError(
+            f"upstream artifact {filename!r} was not made under this config "
+            f"(run stage {producer!r} first)"
         )
     return path
 
@@ -435,22 +450,18 @@ def _simulate_echo(config: PipelineConfig, scene: Scene) -> EchoData:
 def _image_from_profiles(config: PipelineConfig, profiles: RangeProfileSet) -> ComplexImage:
     if config.grid is None:
         raise ConfigError("grid: required for the image stage")
-    if config.grid.ndim == 2:
-        return backproject_2d(profiles, config.grid)
-    if config.grid.ndim == 3:
-        return backproject_3d(profiles, config.grid)
-    raise ConfigError("grid: imaging needs a 2D or 3D grid")
+    return (backproject_3d if config.grid.ndim == 3 else backproject_2d)(profiles, config.grid)
 
 
-def stage_simulate(config: PipelineConfig, out: Path) -> dict:
+def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     echo = _simulate_echo(config, config.scene)
     axes = [(config.radar.f0, config.radar.delta_f), (0.0, 1.0)]
     write_array(out / ECHO_FILE, echo.samples, axes)
     return {"echo": _entry(out, ECHO_FILE, echo.samples.shape)}
 
 
-def stage_compress(config: PipelineConfig, out: Path) -> dict:
-    data, _ = read_array(_need(out, ECHO_FILE, "simulate"))
+def stage_compress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+    data, _ = read_array(_need(out, artifacts, ECHO_FILE, "simulate"))
     expected = (config.radar.num_freq, config.aperture.num_positions)
     if data.shape != expected:
         raise PipelineError(f"echo artifact shape {data.shape} does not match config {expected}")
@@ -461,21 +472,20 @@ def stage_compress(config: PipelineConfig, out: Path) -> dict:
     return {"profiles": _entry(out, PROFILES_FILE, profiles.profiles.shape)}
 
 
-def _load_profiles(config: PipelineConfig, out: Path) -> RangeProfileSet:
-    data, axes = read_array(_need(out, PROFILES_FILE, "compress"))
+def _load_profiles(config: PipelineConfig, out: Path, artifacts: dict) -> RangeProfileSet:
+    data, _ = read_array(_need(out, artifacts, PROFILES_FILE, "compress"))
     expected = (config.oversample * config.radar.num_freq, config.aperture.num_positions)
     if data.shape != expected:
         raise PipelineError(f"profiles artifact shape {data.shape} does not match config {expected}")
-    tau_axis = axes[0][0] + axes[0][1] * np.arange(data.shape[0])
-    return RangeProfileSet(data, config.oversample, tau_axis, config.radar, config.aperture)
+    return RangeProfileSet(data, config.oversample, config.radar, config.aperture)
 
 
 def _grid_axes_meta(grid: ImageGrid) -> list[tuple[float, float]]:
     return [(ax.start, ax.spacing) for ax in grid.axes]
 
 
-def stage_image(config: PipelineConfig, out: Path) -> dict:
-    profiles = _load_profiles(config, out)
+def stage_image(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+    profiles = _load_profiles(config, out, artifacts)
     image = _image_from_profiles(config, profiles)
     write_array(out / IMAGE_FILE, image.values, _grid_axes_meta(image.grid))
     kwargs = {"slice_axis": "height"} if image.grid.ndim == 3 else {}
@@ -483,13 +493,13 @@ def stage_image(config: PipelineConfig, out: Path) -> dict:
     return {"image": _entry(out, IMAGE_FILE, image.values.shape)}
 
 
-def _load_image(out: Path, filename: str, producer: str) -> ComplexImage:
-    data, axes = read_array(_need(out, filename, producer))
+def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
+    data, axes = read_array(_need(out, artifacts, filename, producer))
     return ComplexImage(data.astype(np.complex128), _grid_from_axes(axes, data.shape))
 
 
-def stage_suppress(config: PipelineConfig, out: Path) -> dict:
-    image = _load_image(out, IMAGE_FILE, "image")
+def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+    image = _load_image(out, artifacts, IMAGE_FILE, "image")
     if image.grid.ndim == 3:
         target, interference, results = decompose_volume(image, config.solver)
     elif image.grid.ndim == 2:
@@ -542,11 +552,11 @@ def stage_suppress(config: PipelineConfig, out: Path) -> dict:
     }
 
 
-def stage_evaluate(config: PipelineConfig, out: Path) -> dict:
+def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     if not config.scene.targets:
         raise PipelineError("evaluate stage needs at least one target in the scene")
-    raw = _load_image(out, IMAGE_FILE, "image")
-    suppressed = _load_image(out, TARGET_FILE, "suppress")
+    raw = _load_image(out, artifacts, IMAGE_FILE, "image")
+    suppressed = _load_image(out, artifacts, TARGET_FILE, "suppress")
 
     # Reference chain: re-run the simulation without targets and subtract,
     # reusing the seed so the noise realization cancels exactly.
@@ -643,7 +653,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
             if previous.get("config_hash") == config.config_hash:
                 artifacts = previous.get("artifacts", {})
         for name in ordered:
-            artifacts.update(STAGE_FUNCS[name](config, out))
+            artifacts.update(STAGE_FUNCS[name](config, out, artifacts))
         manifest = {
             "format_version": FORMAT_VERSION,
             "config_hash": config.config_hash,

@@ -100,12 +100,6 @@ class Aperture:
     def num_positions(self) -> int:
         return self.azimuth_count * self.height_count
 
-    def position(self, a: int, h: int = 0) -> np.ndarray:
-        if not (0 <= a < self.azimuth_count and 0 <= h < self.height_count):
-            raise ValueError("aperture index out of range")
-        ox, oy, oz = self.origin
-        return np.array([ox + a * self.azimuth_spacing, oy, oz + h * self.height_spacing])
-
     def positions(self) -> np.ndarray:
         """All scan positions, shape (num_positions, 3), azimuth-major order."""
         eta = np.arange(self.num_positions)

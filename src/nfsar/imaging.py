@@ -18,6 +18,9 @@ from .core_model import Aperture, EchoData, RadarParams
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
+# The aperture kind back-projection needs for each image rank.
+APERTURE_FOR_NDIM = {2: "linear", 3: "planar"}
+
 
 @dataclass
 class RangeProfileSet:
@@ -25,7 +28,6 @@ class RangeProfileSet:
 
     profiles: np.ndarray  # (num_range_bins, num_slow_time) complex
     oversample: int
-    tau_axis: np.ndarray  # fast time [s], starts at 0
     radar: RadarParams
     aperture: Aperture
 
@@ -40,6 +42,11 @@ class RangeProfileSet:
     @property
     def tau_spacing(self) -> float:
         return 1.0 / (self.oversample * self.radar.bandwidth)
+
+    @property
+    def tau_axis(self) -> np.ndarray:
+        """Fast time per bin [s], starting at 0."""
+        return np.arange(self.profiles.shape[0]) / (self.oversample * self.radar.bandwidth)
 
     @property
     def range_axis(self) -> np.ndarray:
@@ -67,8 +74,22 @@ def range_compress(echo: EchoData, oversample: int = 8, raised_cosine: bool = Fa
         x = x * w[:, None]
     nbins = oversample * m
     profiles = np.fft.ifft(x, n=nbins, axis=0) * oversample
-    tau_axis = np.arange(nbins) / (oversample * echo.radar.bandwidth)
-    return RangeProfileSet(profiles, oversample, tau_axis, echo.radar, echo.aperture)
+    return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
+
+
+def _interpolate(col: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, int]:
+    """Linearly interpolate one profile column at fractional bin indices.
+
+    Indices outside [0, len(col) - 1) lie outside the compressed swath and
+    give zero; returns (samples, number of such indices).
+    """
+    nbins = col.shape[0]
+    valid = (idx >= 0) & (idx < nbins - 1)
+    i0 = np.floor(idx).astype(np.int64)
+    i0c = np.clip(i0, 0, nbins - 2)
+    frac = idx - i0
+    samples = np.where(valid, col[i0c] * (1.0 - frac) + col[i0c + 1] * frac, 0.0)
+    return samples, int(valid.size - np.count_nonzero(valid))
 
 
 def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: float) -> complex:
@@ -78,12 +99,7 @@ def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: fl
     out-of-swath voxel contributions.
     """
     col = profiles.profiles[:, slow_time_index]
-    idx = tau / profiles.tau_spacing
-    i0 = int(np.floor(idx))
-    if idx < 0 or i0 >= len(col) - 1:
-        return 0.0 + 0.0j
-    frac = idx - i0
-    return complex(col[i0] * (1.0 - frac) + col[i0 + 1] * frac)
+    return complex(_interpolate(col, np.asarray(tau / profiles.tau_spacing))[0])
 
 
 @dataclass(frozen=True)
@@ -157,30 +173,28 @@ class ComplexImage:
             )
 
 
-def _accumulate(profiles, positions, f0, c, vox_x, vox_y, vox_z):
-    """Shared back-projection loop: returns (image sum, out-of-swath count)."""
-    prof = profiles.profiles
-    nbins = prof.shape[0]
+def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> ComplexImage:
+    """Back-projection body shared by backproject_2d and backproject_3d."""
+    name = f"backproject_{ndim}d"
+    if grid.ndim != ndim:
+        raise ValueError(f"{name} needs a {ndim}D ({', '.join(AXIS_NAMES[:ndim])}) grid")
+    ap = profiles.aperture
+    if ap.kind != APERTURE_FOR_NDIM[ndim]:
+        raise ValueError(f"{name} requires a {APERTURE_FOR_NDIM[ndim]} aperture")
+    vox_y, vox_x, *height = np.meshgrid(*(ax.values() for ax in grid.axes), indexing="ij")
+    vox_z = height[0] if height else np.full_like(vox_x, ap.origin[2])
+    positions = ap.positions()
+    c = profiles.radar.c
     inv_dtau = 1.0 / profiles.tau_spacing
-    out = np.zeros(vox_x.shape, dtype=np.complex128)
+    phase_rate = 4j * np.pi * profiles.radar.f0 / c
+    out = np.zeros(grid.shape, dtype=np.complex128)
     oos = 0
-    phase_rate = 4j * np.pi * f0 / c
-    for n in range(positions.shape[0]):
-        px, py, pz = positions[n]
+    for n, (px, py, pz) in enumerate(positions):
         dist = np.sqrt((vox_x - px) ** 2 + (vox_y - py) ** 2 + (vox_z - pz) ** 2)
-        idx = (2.0 * dist / c) * inv_dtau
-        i0 = np.floor(idx).astype(np.int64)
-        valid = (idx >= 0) & (i0 < nbins - 1)
-        oos += int(valid.size - np.count_nonzero(valid))
-        i0c = np.clip(i0, 0, nbins - 2)
-        frac = idx - i0
-        col = prof[:, n]
-        sample = np.where(valid, col[i0c] * (1.0 - frac) + col[i0c + 1] * frac, 0.0)
+        sample, outside = _interpolate(profiles.profiles[:, n], (2.0 * dist / c) * inv_dtau)
+        oos += outside
         out += sample * np.exp(phase_rate * dist)
-    return out, oos
-
-
-def _finish(image_sum, oos, total, grid, n_positions):
+    total = out.size * len(positions)
     if oos == total:
         raise ValueError("image grid lies entirely outside the compressed swath")
     if oos:
@@ -189,7 +203,7 @@ def _finish(image_sum, oos, total, grid, n_positions):
             RuntimeWarning,
             stacklevel=3,
         )
-    return ComplexImage(image_sum / n_positions, grid)
+    return ComplexImage(out / len(positions), grid)
 
 
 def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
@@ -199,31 +213,12 @@ def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     the carrier compensation phase exp(+j*4*pi*f0*R/c), normalized by the
     number of scan positions.  Voxels lie in the scan row's height plane.
     """
-    if grid.ndim != 2:
-        raise ValueError("backproject_2d needs a 2D (range, azimuth) grid")
-    ap = profiles.aperture
-    if ap.kind != "linear":
-        raise ValueError("backproject_2d requires a linear aperture")
-    positions = ap.positions()
-    vox_y, vox_x = np.meshgrid(grid.range.values(), grid.azimuth.values(), indexing="ij")
-    vox_z = np.full_like(vox_x, ap.origin[2])
-    sums, oos = _accumulate(profiles, positions, profiles.radar.f0, profiles.radar.c, vox_x, vox_y, vox_z)
-    return _finish(sums, oos, vox_x.size * positions.shape[0], grid, positions.shape[0])
+    return _backproject(profiles, grid, 2)
 
 
 def backproject_3d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     """Back-project onto a (range, azimuth, height) grid from a planar aperture."""
-    if grid.ndim != 3:
-        raise ValueError("backproject_3d needs a 3D (range, azimuth, height) grid")
-    ap = profiles.aperture
-    if ap.kind != "planar":
-        raise ValueError("backproject_3d requires a planar aperture")
-    positions = ap.positions()
-    vox_y, vox_x, vox_z = np.meshgrid(
-        grid.range.values(), grid.azimuth.values(), grid.height.values(), indexing="ij"
-    )
-    sums, oos = _accumulate(profiles, positions, profiles.radar.f0, profiles.radar.c, vox_x, vox_y, vox_z)
-    return _finish(sums, oos, vox_x.size * positions.shape[0], grid, positions.shape[0])
+    return _backproject(profiles, grid, 3)
 
 
 def image_to_db(image: ComplexImage, floor_db: float = -60.0) -> np.ndarray:

@@ -214,9 +214,26 @@ def default_params(interfered) -> tuple[float, float]:
     return mu, rho
 
 
+# np.linalg.norm sums squares unscaled: results outside this range may have
+# underflowed or overflowed on the way.
+_NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny))
+_NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max)) / 4.0
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm that neither underflows nor overflows at any finite scale."""
+    norm = float(np.linalg.norm(a))
+    if _NORM_SAFE_MIN <= norm <= _NORM_SAFE_MAX:
+        return norm
+    peak = float(np.abs(a).max(initial=0.0))
+    if peak == 0.0 or not np.isfinite(peak):
+        return norm
+    return float(np.linalg.norm(a / peak)) * peak
+
+
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    diff = float(np.linalg.norm(new - old))
-    base = float(np.linalg.norm(new))
+    diff = _norm(new - old)
+    base = _norm(new)
     if base == 0.0:
         return 0.0 if diff == 0.0 else np.inf
     return diff / base
@@ -275,7 +292,7 @@ def decompose(
             break
 
     c = _refit_interference(u, vh, x, i_mat)
-    residual = float(np.linalg.norm(i_mat - x - c))
+    residual = _norm(i_mat - x - c)
     return DecompositionResult(
         target=x,
         interference=c,

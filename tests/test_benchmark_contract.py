@@ -1,0 +1,55 @@
+"""The names and texts the benchmark under perfbench/ binds to.
+
+perfbench/ reaches into nfsar by attribute name and parses one warning
+text; these tests load its modules by file path (their main is not run) so
+that renaming a bound name fails here and not only in a traced benchmark run.
+"""
+
+import importlib.util
+import warnings
+from pathlib import Path
+
+import pytest
+
+from nfsar import cli_io
+from nfsar.core_model import Aperture, PointTarget, RadarParams, Scene, synthesize_echo
+from nfsar.imaging import GridAxis, ImageGrid, backproject_2d, range_compress
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    tracing = load_perfbench("tracing")
+    for module, name, _ in tracing.WRAPPED:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_every_stage_has_a_function():
+    assert set(cli_io.STAGE_ORDER) <= set(cli_io.STAGE_FUNCS)
+
+
+@pytest.mark.parametrize("workload", ["pipeline2d", "volume3d", "image3d-large"])
+def test_config_loads(workload):
+    cli_io.load_config(PERFBENCH / "configs" / f"{workload}.json")
+
+
+def test_swath_warning_matches_the_parsed_text():
+    run = load_perfbench("run")
+    radar = RadarParams(f0=9e9, delta_f=3e9 / 128, num_freq=128)
+    aperture = Aperture(kind="linear", origin=(-0.075, 0.0, 0.0), azimuth_count=16, azimuth_spacing=0.01)
+    profiles = range_compress(synthesize_echo(radar, aperture, Scene(targets=[PointTarget((0.0, 3.0, 0.0))])), 8)
+    grid = ImageGrid((GridAxis(radar.unambiguous_range - 0.1, 0.025, 9), GridAxis(-0.05, 0.025, 5)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        backproject_2d(profiles, grid)
+    (record,) = caught
+    assert record.filename == __file__  # stacklevel points at the caller
+    match = run.SWATH_WARNING.search(str(record.message))
+    assert match is not None and 0 < int(match.group(1)) < 9 * 5 * 16

@@ -365,6 +365,21 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="echo.nfsc.*simulate"):
             run_pipeline(config, stages=["compress"])
 
+    def test_stage_refuses_artifacts_of_another_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(parse_config(pipeline_config(out)), stages=["simulate", "compress", "image", "suppress"])
+        manifest = (out / "manifest.json").read_bytes()
+        other = pipeline_config(out)
+        other["solver"]["mu"] = 0.5
+        with pytest.raises(PipelineError, match="image_raw.nfsc.*not made under this config.*image"):
+            run_pipeline(parse_config(other), stages=["evaluate"])
+        cfg_path = tmp_path / "other.json"
+        cfg_path.write_text(json.dumps(other))
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        assert "not made under this config" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+        assert (out / "manifest.json").read_bytes() == manifest
+
     def test_unknown_stage_rejected(self, tmp_path):
         config = parse_config(pipeline_config(tmp_path / "out"))
         with pytest.raises(PipelineError, match="unknown stage"):
@@ -482,6 +497,21 @@ class TestCli:
         path = self.write_config(tmp_path)
         assert main(["suppress", "--config", str(path)]) == 1
         assert "missing upstream artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_config, dropped_axis, message", [
+        (volume_config, "height", "2D imaging grid requires a linear aperture"),
+        (pipeline_config, "azimuth", "imaging needs a 2D or 3D grid"),
+    ], ids=["2d-grid-planar-aperture", "1d-grid"])
+    def test_grid_aperture_pairing_checked_at_load(self, tmp_path, capsys, make_config, dropped_axis, message):
+        cfg = make_config(tmp_path / "out")
+        del cfg["grid"][dropped_axis]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -191,6 +191,16 @@ class TestBackproject2d:
         assert abs(grid.range.values()[p] - target[1]) <= spacing
         assert abs(grid.azimuth.values()[q] - target[0]) <= spacing
 
+    def test_one_voxel_is_the_interpolated_sample_with_carrier_compensation(self):
+        # ties the imager to interpolate_profile, which the oracle tests check
+        r = 3.0123
+        scene = Scene(targets=[PointTarget((0.0, 3.0, 0.0))])
+        profiles = range_compress(synthesize_echo(RADAR, one_position(), scene), 8)
+        value = backproject_2d(profiles, grid2d(r, 1, 0.0, 1)).values[0, 0]
+        expected = interpolate_profile(profiles, 0, 2 * r / C) * np.exp(4j * np.pi * RADAR.f0 * r / C)
+        assert abs(expected) > 0.1
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_two_equal_targets_balanced(self):
         scene = Scene(targets=[PointTarget((0.0, 2.9, 0.0)), PointTarget((0.0, 3.2, 0.0))])
         profiles = range_compress(synthesize_echo(RADAR, linear_aperture(), scene), 8)

@@ -423,7 +423,7 @@ class TestDecompose:
             assert res.objective_trace[k] == pytest.approx(objective(i, x, c, mu, rho), rel=1e-12, abs=0)
         assert np.array_equal(res.target, x)
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e100, 1e160])
     def test_scaled_input_and_weights_scale_the_split(self, scale):
         rng = np.random.default_rng(25)
         i = rank_k(rng, 16, [6.0, 2.0]) + soft_threshold_entries(random_complex(rng, (16, 16)), 1.5)
