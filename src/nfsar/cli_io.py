@@ -10,6 +10,7 @@ isolation.  A manifest records the config hash, seed, and every artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import hashlib
@@ -82,6 +83,25 @@ class PipelineError(RuntimeError):
 # binary complex-array format
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str = "wb"):
+    """Open a temp file beside path for writing; on success rename it onto path.
+
+    The rename is atomic, so a write that fails or is killed midway leaves
+    the old file (or none), never part of a new one.  A failed write removes
+    its temp file.  No fsync: this guards against crashed runs, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -> None:
     """Write a complex array with per-axis (start, spacing) metadata.
 
@@ -101,7 +121,7 @@ def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -
     for start, spacing in axes:
         header += struct.pack("<dd", float(start), float(spacing))
     payload = arr.view(np.float32).tobytes()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         fh.write(payload)
 
@@ -395,10 +415,10 @@ def export_db_image(
     pgm_path = base.with_suffix(".pgm")
     csv_path = base.with_suffix(".csv")
     h, w = pixels.shape
-    with open(pgm_path, "wb") as fh:
+    with _replacing(pgm_path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(pixels.tobytes())
-    with open(csv_path, "w") as fh:
+    with _replacing(csv_path, "w") as fh:
         for row in db:
             fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
     return pgm_path, csv_path
@@ -523,7 +543,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         }
         for r in results
     ]
-    with open(out / "decomposition.json", "w") as fh:
+    with _replacing(out / "decomposition.json", "w") as fh:
         json.dump(
             {
                 "mu": results[0].mu,
@@ -538,7 +558,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
             sort_keys=True,
         )
         fh.write("\n")
-    with open(out / "objective_trace.csv", "w") as fh:
+    with _replacing(out / "objective_trace.csv", "w") as fh:
         fh.write("slice,iteration,objective\n")
         for k, r in enumerate(results):
             for i, val in enumerate(r.objective_trace, start=1):
@@ -580,9 +600,11 @@ def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         )
     except ValueError as exc:
         raise PipelineError(f"evaluate: {exc}") from exc
-    (out / REPORT_FILE).write_text(report.to_text())
+    with _replacing(out / REPORT_FILE, "w") as fh:
+        fh.write(report.to_text())
     header, row = report.to_csv_row()
-    (out / "report.csv").write_text(header + "\n" + row + "\n")
+    with _replacing(out / "report.csv", "w") as fh:
+        fh.write(header + "\n" + row + "\n")
     return {"report": _entry(out, REPORT_FILE)}
 
 
@@ -632,6 +654,27 @@ class _OutputLock:
         return False
 
 
+def _trusted_artifacts(manifest_path: Path, config_hash: str) -> dict:
+    """The artifact entries of an existing manifest made under config_hash.
+
+    A missing or unreadable manifest, one of another config, and one whose
+    shape is not {"config_hash": ..., "artifacts": {name: {"file": str, ...}}}
+    are all treated alike: none of their artifacts is trusted.
+    """
+    try:
+        previous = json.loads(manifest_path.read_bytes())
+    except (FileNotFoundError, ValueError):
+        return {}
+    if not isinstance(previous, dict) or previous.get("config_hash") != config_hash:
+        return {}
+    artifacts = previous.get("artifacts", {})
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("file"), str) for entry in artifacts.values()
+    ):
+        return {}
+    return artifacts
+
+
 def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) -> dict:
     """Run the requested stages in canonical order and update the manifest."""
     requested = list(STAGE_ORDER) if stages is None else list(stages)
@@ -644,14 +687,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / MANIFEST_FILE
     with _OutputLock(out):
-        artifacts = {}
-        if manifest_path.exists():
-            try:
-                previous = json.loads(manifest_path.read_text())
-            except json.JSONDecodeError:
-                previous = {}
-            if previous.get("config_hash") == config.config_hash:
-                artifacts = previous.get("artifacts", {})
+        artifacts = _trusted_artifacts(manifest_path, config.config_hash)
         for name in ordered:
             artifacts.update(STAGE_FUNCS[name](config, out, artifacts))
         manifest = {
@@ -660,7 +696,8 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
             "seed": config.seed,
             "artifacts": artifacts,
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with _replacing(manifest_path, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

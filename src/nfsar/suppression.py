@@ -222,7 +222,10 @@ _NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max)) / 4.0
 
 def _norm(a: np.ndarray) -> float:
     """Frobenius norm that neither underflows nor overflows at any finite scale."""
-    norm = float(np.linalg.norm(a))
+    # The unscaled norm squares its input; out of range it overflows or
+    # underflows, which is caught below, so numpy need not warn about it.
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(a))
     if _NORM_SAFE_MIN <= norm <= _NORM_SAFE_MAX:
         return norm
     peak = float(np.abs(a).max(initial=0.0))

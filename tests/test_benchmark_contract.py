@@ -6,12 +6,13 @@ that renaming a bound name fails here and not only in a traced benchmark run.
 """
 
 import importlib.util
+import os
 import warnings
 from pathlib import Path
 
 import pytest
 
-from nfsar import cli_io
+from nfsar import cli_io, imaging
 from nfsar.core_model import Aperture, PointTarget, RadarParams, Scene, synthesize_echo
 from nfsar.imaging import GridAxis, ImageGrid, backproject_2d, range_compress
 
@@ -40,16 +41,37 @@ def test_config_loads(workload):
     cli_io.load_config(PERFBENCH / "configs" / f"{workload}.json")
 
 
+RADAR = RadarParams(f0=9e9, delta_f=3e9 / 128, num_freq=128)
+
+
+def edge_of_swath_profiles():
+    aperture = Aperture(kind="linear", origin=(-0.075, 0.0, 0.0), azimuth_count=16, azimuth_spacing=0.01)
+    return range_compress(synthesize_echo(RADAR, aperture, Scene(targets=[PointTarget((0.0, 3.0, 0.0))])), 8)
+
+
 def test_swath_warning_matches_the_parsed_text():
     run = load_perfbench("run")
-    radar = RadarParams(f0=9e9, delta_f=3e9 / 128, num_freq=128)
-    aperture = Aperture(kind="linear", origin=(-0.075, 0.0, 0.0), azimuth_count=16, azimuth_spacing=0.01)
-    profiles = range_compress(synthesize_echo(radar, aperture, Scene(targets=[PointTarget((0.0, 3.0, 0.0))])), 8)
-    grid = ImageGrid((GridAxis(radar.unambiguous_range - 0.1, 0.025, 9), GridAxis(-0.05, 0.025, 5)))
+    grid = ImageGrid((GridAxis(RADAR.unambiguous_range - 0.1, 0.025, 9), GridAxis(-0.05, 0.025, 5)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        backproject_2d(profiles, grid)
+        backproject_2d(edge_of_swath_profiles(), grid)
     (record,) = caught
     assert record.filename == __file__  # stacklevel points at the caller
     match = run.SWATH_WARNING.search(str(record.message))
     assert match is not None and 0 < int(match.group(1)) < 9 * 5 * 16
+
+
+def test_swath_warning_count_is_the_same_when_rows_are_split(monkeypatch):
+    run = load_perfbench("run")
+    profiles = edge_of_swath_profiles()
+    grid = ImageGrid((GridAxis(RADAR.unambiguous_range - 1.0, 0.008, 256), GridAxis(-0.64, 0.01, 128)))
+    counts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert imaging._slab_count(grid.shape) == cpus
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backproject_2d(profiles, grid)
+        matches = [run.SWATH_WARNING.search(str(w.message)) for w in caught]
+        counts.append([int(m.group(1)) for m in matches if m])
+    assert counts[0] == counts[1] and len(counts[0]) == 1 and counts[0][0] > 0

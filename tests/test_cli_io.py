@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nfsar import cli_io
 from nfsar.cli_io import (
     ArrayFormatError,
     ConfigError,
@@ -236,6 +237,36 @@ class TestArrayFormat:
         with pytest.raises(ArrayFormatError, match="truncated payload"):
             read_array(path)
 
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.nfsc"
+        write_array(path, np.ones((4, 4), dtype=np.complex64))
+        old = path.read_bytes()
+
+        class FailsAfterHeader:
+            """A file whose second write (the payload) fails, as on a full disk."""
+
+            def __init__(self, *args):
+                self.fh = open(*args)
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli_io, "open", FailsAfterHeader, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_array(path, np.zeros((8, 8), dtype=np.complex64))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.nfsc"]
+
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"
         write_array(path, np.ones((2, 2), dtype=np.complex64))
@@ -379,6 +410,37 @@ class TestPipeline:
         assert "not made under this config" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
         assert (out / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        "not json {",
+        {"artifacts": {"echo": "echo.nfsc"}},
+        {"artifacts": {"echo": {"file": 3}}},
+        {"artifacts": ["echo.nfsc"]},
+    ], ids=["list", "not-json", "entry-not-object", "file-not-str", "artifacts-not-object"])
+    def test_malformed_manifest_trusts_no_artifact(self, tmp_path, capsys, manifest):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(pipeline_config(out)))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        if isinstance(manifest, dict):
+            manifest["config_hash"] = json.loads((out / "manifest.json").read_text())["config_hash"]
+        (out / "manifest.json").write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        assert main(["compress", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "echo.nfsc' was not made under this config" in err and "Traceback" not in err
+        assert main(["simulate", "--config", str(cfg_path)]) == 0  # a rerun repairs the run
+        assert main(["compress", "--config", str(cfg_path)]) == 0
+
+    def test_full_run_leaves_no_temp_files(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(parse_config(pipeline_config(out)))
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "decomposition.json", "echo.nfsc", "image_raw.nfsc", "image_raw_db.csv", "image_raw_db.pgm",
+            "interference.nfsc", "interference_db.csv", "interference_db.pgm", "manifest.json",
+            "objective_trace.csv", "profiles.nfsc", "reference.nfsc", "report.csv", "report.txt",
+            "target.nfsc", "target_db.csv", "target_db.pgm",
+        ])
 
     def test_unknown_stage_rejected(self, tmp_path):
         config = parse_config(pipeline_config(tmp_path / "out"))

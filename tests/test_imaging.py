@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from nfsar.core_model import (
     apply_saturation,
     synthesize_echo,
 )
+from nfsar import imaging
 from nfsar.evaluation import singular_spectrum
 from nfsar.imaging import (
     ComplexImage,
@@ -34,6 +39,12 @@ def one_position():
 def linear_aperture(count=192, spacing=0.01):
     origin = (-(count - 1) / 2 * spacing, 0.0, 0.0)
     return Aperture(kind="linear", origin=origin, azimuth_count=count, azimuth_spacing=spacing)
+
+
+def planar_aperture(count=8, spacing=0.02):
+    origin = (-(count - 1) / 2 * spacing, 0.0, -(count - 1) / 2 * spacing)
+    return Aperture(kind="planar", origin=origin, azimuth_count=count,
+                    azimuth_spacing=spacing, height_count=count, height_spacing=spacing)
 
 
 def grid2d(r0, nr, a0, na, spacing=0.025):
@@ -279,15 +290,10 @@ class TestBackproject2d:
 
 
 class TestBackproject3d:
-    def planar(self, count=8, spacing=0.02):
-        origin = (-(count - 1) / 2 * spacing, 0.0, -(count - 1) / 2 * spacing)
-        return Aperture(kind="planar", origin=origin, azimuth_count=count,
-                        azimuth_spacing=spacing, height_count=count, height_spacing=spacing)
-
     def test_single_target_peak_at_true_voxel(self):
         target = (0.05, 3.0, -0.05)
         scene = Scene(targets=[PointTarget(target)])
-        profiles = range_compress(synthesize_echo(RADAR, self.planar(), scene), 8)
+        profiles = range_compress(synthesize_echo(RADAR, planar_aperture(), scene), 8)
         grid = ImageGrid((GridAxis(2.85, 0.025, 13), GridAxis(-0.15, 0.025, 13),
                           GridAxis(-0.15, 0.025, 13)))
         image = backproject_3d(profiles, grid)
@@ -300,7 +306,7 @@ class TestBackproject3d:
         # dense aperture, voxels well inside the scan footprint: the plate
         # magnitude is flat over azimuth x height at the interferer's range
         scene = Scene(interferers=[Interferer(2.0, 1.0)])
-        ap = self.planar(count=48, spacing=0.015)
+        ap = planar_aperture(count=48, spacing=0.015)
         profiles = range_compress(synthesize_echo(RADAR, ap, scene), 8)
         grid = ImageGrid((GridAxis(1.85, 0.025, 13), GridAxis(-0.05, 0.025, 5),
                           GridAxis(-0.05, 0.025, 5)))
@@ -310,7 +316,7 @@ class TestBackproject3d:
 
     def test_interference_volume_unfolds_low_rank(self):
         scene = Scene(interferers=[Interferer(5.5, 1.0)])
-        ap = self.planar(count=16, spacing=0.03)
+        ap = planar_aperture(count=16, spacing=0.03)
         profiles = range_compress(synthesize_echo(RADAR, ap, scene), 8)
         grid = ImageGrid((GridAxis(5.35, 0.025, 13), GridAxis(-0.08, 0.025, 7),
                           GridAxis(-0.08, 0.025, 7)))
@@ -349,6 +355,83 @@ class TestBackproject3d:
         grid3 = ImageGrid((GridAxis(2.8, 0.05, 5), GridAxis(-0.1, 0.05, 5), GridAxis(-0.1, 0.05, 5)))
         with pytest.raises(ValueError, match="planar"):
             backproject_3d(profiles, grid3)
+
+
+class TestSlabThreads:
+    """Range rows are split across the CPUs of the process's affinity, and the
+    image, the out-of-swath warning and the errors do not depend on how many."""
+
+    R_U = RADAR.unambiguous_range
+
+    def case(self, ndim, range_start):
+        # Large enough for 4 slabs; with 4 slabs some hold fewer than 16384
+        # voxels (256 KiB of complex128) while the whole grid holds more,
+        # so arithmetic whose rounding follows operand size would show.
+        scene = Scene(targets=[PointTarget((0.0, self.R_U - 0.3, 0.0))], interferers=[Interferer(self.R_U - 0.2)])
+        if ndim == 3:
+            aperture = planar_aperture(count=4, spacing=0.03)
+            grid = ImageGrid((GridAxis(range_start, 0.2, 6), GridAxis(-0.6, 0.01, 120),
+                              GridAxis(-0.6, 0.01, 120)))
+        else:
+            aperture = linear_aperture(count=16)
+            grid = ImageGrid((GridAxis(range_start, 0.08, 14), GridAxis(-2.5, 0.001, 5000)))
+        profiles = range_compress(synthesize_echo(RADAR, aperture, scene), 4)
+        return profiles, grid, (backproject_3d if ndim == 3 else backproject_2d)
+
+    @staticmethod
+    def pretend_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_same_bytes_and_warning_at_any_cpu_count(self, monkeypatch, ndim):
+        # the grid straddles the swath's far end, so some contributions are zeroed
+        profiles, grid, backproject = self.case(ndim, self.R_U - 0.5)
+        images, messages = [], []
+        for cpus in (1, 2, 3, 4):
+            self.pretend_cpus(monkeypatch, cpus)
+            assert imaging._slab_count(grid.shape) == cpus
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                images.append(backproject(profiles, grid).values.tobytes())
+            (record,) = caught
+            assert record.category is RuntimeWarning
+            assert record.filename == __file__  # stacklevel points at the caller
+            messages.append(str(record.message))
+        assert images.count(images[0]) == len(images)
+        assert messages.count(messages[0]) == len(messages)
+        assert "voxel contributions fell outside the swath" in messages[0]
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_grid_outside_swath_rejected_when_split(self, monkeypatch, ndim):
+        profiles, grid, backproject = self.case(ndim, self.R_U + 1.0)
+        self.pretend_cpus(monkeypatch, 4)
+        assert imaging._slab_count(grid.shape) == 4
+        with pytest.raises(ValueError, match="entirely outside the compressed swath"):
+            backproject(profiles, grid)
+
+    def test_error_in_a_worker_slab_is_raised_to_the_caller(self, monkeypatch):
+        profiles, grid, backproject = self.case(2, self.R_U - 0.5)
+        self.pretend_cpus(monkeypatch, 2)
+        interpolate = imaging._interpolate
+
+        def fails_off_the_main_thread(col, idx):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker slab failed")
+            return interpolate(col, idx)
+
+        monkeypatch.setattr(imaging, "_interpolate", fails_off_the_main_thread)
+        with pytest.raises(RuntimeError, match="worker slab failed"):
+            backproject(profiles, grid)
+
+    def test_slab_count_limits(self, monkeypatch):
+        self.pretend_cpus(monkeypatch, 8)
+        assert imaging._slab_count((105, 97)) == 1  # under 2 x 16384 voxels
+        assert imaging._slab_count((41, 31, 31)) == 2
+        assert imaging._slab_count((3, 400, 400)) == 3  # at most one slab per range row
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert imaging._slab_count((41, 31, 31)) == 2
+        assert imaging._slab_count((3, 400, 400)) == 2
 
 
 class TestImageToDb:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
 from nfsar.suppression import (
     SolverConfig,
+    _norm,
     _svt,
     decompose,
     decompose_volume,
@@ -271,6 +274,18 @@ class TestSvtKernel:
         c = _svt(m, 0.3 * sigma1)[0]
         assert svd_calls == [m.shape]
         assert np.abs(c - expected).max() <= 1e-12 * sigma1
+
+
+class TestNorm:
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_out_of_range_scale_is_exact_and_silent(self, scale):
+        # the unscaled first try overflows or underflows; the rescaled
+        # norm is the answer, and the first try's overflow is no warning
+        a = random_complex(np.random.default_rng(26), (12, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _norm(scale * a)
+        assert norm == pytest.approx(scale * np.linalg.norm(a), rel=1e-12)
 
 
 class TestUpdateInterference:
