@@ -45,6 +45,7 @@ from .suppression import (
     DecompositionResult,
     SolverConfig,
     decompose,
+    decompose_image,
     decompose_volume,
     default_params,
     dematricize_3d,

@@ -47,7 +47,7 @@ from .imaging import (
     image_to_db,
     range_compress,
 )
-from .suppression import SolverConfig, decompose, decompose_volume
+from .suppression import SolverConfig, decompose_image
 
 MAGIC = b"NFSC"
 FORMAT_VERSION = 1
@@ -319,6 +319,8 @@ class PipelineConfig:
             raise ValueError("floor_db: must be < 0")
         if self.guard_cells < 0:
             raise ValueError("guard_cells: must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
         if self.grid is not None:
             kind = APERTURE_FOR_NDIM.get(self.grid.ndim)
             if kind is None:
@@ -377,36 +379,17 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def export_db_image(
-    image: ComplexImage,
-    floor_db: float,
-    base_path,
-    slice_axis: str | None = None,
-    slice_index: int | None = None,
-) -> tuple[Path, Path]:
+def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Path, Path]:
     """Write an 8-bit graymap and a CSV of dB magnitudes.
 
-    [floor_db, 0] dB maps linearly onto [0, 255] with half-up rounding.
-    3D images need a slice_axis name; slice_index picks a slice, otherwise
-    the maximum projection along that axis is exported.
+    [floor_db, 0] dB maps linearly onto [0, 255] with half-up rounding.  A
+    3D volume is exported as its maximum projection along height, a 1D
+    profile as a single row.
     """
     db = image_to_db(image, floor_db)
-    names = AXIS_NAMES[: image.grid.ndim]
-    if image.grid.ndim == 3:
-        if slice_axis is None:
-            raise ValueError("3D image export needs a slice_axis (and optional slice_index)")
-        if slice_axis not in names:
-            raise ValueError(f"unknown slice axis {slice_axis!r}")
-        ax = names.index(slice_axis)
-        if slice_index is None:
-            db = db.max(axis=ax)
-        else:
-            if not 0 <= slice_index < image.grid.shape[ax]:
-                raise ValueError("slice_index out of range")
-            db = np.take(db, slice_index, axis=ax)
-    elif slice_axis is not None:
-        raise ValueError("slice_axis applies only to 3D images")
-    if db.ndim == 1:
+    if db.ndim == 3:
+        db = db.max(axis=2)
+    elif db.ndim == 1:
         db = db[None, :]
 
     pixels = np.clip(_round_half_up(255.0 * (db - floor_db) / (0.0 - floor_db)), 0, 255)
@@ -443,23 +426,27 @@ def _need(out: Path, artifacts: dict, filename: str, producer: str) -> Path:
     """Path of an upstream artifact that this config's runs produced.
 
     artifacts holds the entries made under the current config hash, carried
-    over from the manifest or added by an earlier stage of this run.
+    over from the manifest or added by an earlier stage of this run.  The
+    file's sha256 must match its entry: another config's run may have
+    rewritten it without recording that in the manifest.
     """
     path = out / filename
     if not path.exists():
         raise PipelineError(
             f"missing upstream artifact {filename!r} (run stage {producer!r} first)"
         )
-    if not any(entry["file"] == filename for entry in artifacts.values()):
+    entry = next((e for e in artifacts.values() if e["file"] == filename), None)
+    if entry is None:
         raise PipelineError(
             f"upstream artifact {filename!r} was not made under this config "
             f"(run stage {producer!r} first)"
         )
+    if _sha256(path) != entry.get("sha256"):
+        raise PipelineError(
+            f"upstream artifact {filename!r} differs from the one stage {producer!r} recorded "
+            f"(run stage {producer!r} again)"
+        )
     return path
-
-
-def _grid_from_axes(axes, extents) -> ImageGrid:
-    return ImageGrid(tuple(GridAxis(start, spacing, int(n)) for (start, spacing), n in zip(axes, extents)))
 
 
 def _simulate_echo(config: PipelineConfig, scene: Scene) -> EchoData:
@@ -482,9 +469,6 @@ def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
 
 def stage_compress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     data, _ = read_array(_need(out, artifacts, ECHO_FILE, "simulate"))
-    expected = (config.radar.num_freq, config.aperture.num_positions)
-    if data.shape != expected:
-        raise PipelineError(f"echo artifact shape {data.shape} does not match config {expected}")
     echo = EchoData(data, config.radar, config.aperture)
     profiles = range_compress(echo, config.oversample)
     axes = [(0.0, profiles.tau_spacing), (0.0, 1.0)]
@@ -494,45 +478,32 @@ def stage_compress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
 
 def _load_profiles(config: PipelineConfig, out: Path, artifacts: dict) -> RangeProfileSet:
     data, _ = read_array(_need(out, artifacts, PROFILES_FILE, "compress"))
-    expected = (config.oversample * config.radar.num_freq, config.aperture.num_positions)
-    if data.shape != expected:
-        raise PipelineError(f"profiles artifact shape {data.shape} does not match config {expected}")
     return RangeProfileSet(data, config.oversample, config.radar, config.aperture)
 
 
-def _grid_axes_meta(grid: ImageGrid) -> list[tuple[float, float]]:
-    return [(ax.start, ax.spacing) for ax in grid.axes]
+def _write_image(path: Path, image: ComplexImage) -> None:
+    write_array(path, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
 
 
 def stage_image(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     profiles = _load_profiles(config, out, artifacts)
     image = _image_from_profiles(config, profiles)
-    write_array(out / IMAGE_FILE, image.values, _grid_axes_meta(image.grid))
-    kwargs = {"slice_axis": "height"} if image.grid.ndim == 3 else {}
-    export_db_image(image, config.floor_db, out / "image_raw_db", **kwargs)
+    _write_image(out / IMAGE_FILE, image)
+    export_db_image(image, config.floor_db, out / "image_raw_db")
     return {"image": _entry(out, IMAGE_FILE, image.values.shape)}
 
 
 def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
     data, axes = read_array(_need(out, artifacts, filename, producer))
-    return ComplexImage(data.astype(np.complex128), _grid_from_axes(axes, data.shape))
+    grid = ImageGrid(tuple(GridAxis(start, spacing, int(n)) for (start, spacing), n in zip(axes, data.shape)))
+    return ComplexImage(data, grid)
 
 
 def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     image = _load_image(out, artifacts, IMAGE_FILE, "image")
-    if image.grid.ndim == 3:
-        target, interference, results = decompose_volume(image, config.solver)
-    elif image.grid.ndim == 2:
-        result = decompose(image.values, config.solver)
-        target = ComplexImage(result.target, image.grid)
-        interference = ComplexImage(result.interference, image.grid)
-        results = [result]
-    else:
-        raise PipelineError("suppress stage needs a 2D or 3D image artifact")
-
-    meta = _grid_axes_meta(image.grid)
-    write_array(out / TARGET_FILE, target.values, meta)
-    write_array(out / INTERFERENCE_FILE, interference.values, meta)
+    target, interference, results = decompose_image(image, config.solver)
+    _write_image(out / TARGET_FILE, target)
+    _write_image(out / INTERFERENCE_FILE, interference)
     slices = [
         {
             "mu": r.mu,
@@ -563,9 +534,8 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         for k, r in enumerate(results):
             for i, val in enumerate(r.objective_trace, start=1):
                 fh.write(f"{k},{i},{val:.12e}\n")
-    kwargs = {"slice_axis": "height"} if image.grid.ndim == 3 else {}
-    export_db_image(target, config.floor_db, out / "target_db", **kwargs)
-    export_db_image(interference, config.floor_db, out / "interference_db", **kwargs)
+    export_db_image(target, config.floor_db, out / "target_db")
+    export_db_image(interference, config.floor_db, out / "interference_db")
     return {
         "target": _entry(out, TARGET_FILE, target.values.shape),
         "interference": _entry(out, INTERFERENCE_FILE, interference.values.shape),
@@ -585,10 +555,8 @@ def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     )
     echo_bg = _simulate_echo(config, background_scene)
     profiles_bg = range_compress(echo_bg, config.oversample)
-    image_bg = _image_from_profiles(config, profiles_bg)
-    image_bg = ComplexImage(image_bg.values, raw.grid)
-    reference = background_subtract(raw, image_bg)
-    write_array(out / REFERENCE_FILE, reference.values, _grid_axes_meta(reference.grid))
+    reference = background_subtract(raw, _image_from_profiles(config, profiles_bg))
+    _write_image(out / REFERENCE_FILE, reference)
 
     try:
         report = suppression_metrics(
@@ -682,6 +650,8 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
         if name not in STAGE_FUNCS:
             raise PipelineError(f"unknown stage {name!r}")
     ordered = [s for s in STAGE_ORDER if s in requested]
+    if not ordered:
+        raise PipelineError("no stage to run")
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -736,7 +706,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(str(exc)) from exc
         if args.verb == "pipeline":
             stages = None
-            if args.stages:
+            if args.stages is not None:
                 stages = [s.strip() for s in args.stages.split(",") if s.strip()]
         else:
             stages = [args.verb]

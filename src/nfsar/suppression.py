@@ -332,31 +332,38 @@ def dematricize_3d(matrix, grid: ImageGrid) -> ComplexImage:
     return ComplexImage(m.reshape(p, o, q).transpose(0, 2, 1), grid)
 
 
+def decompose_image(
+    image: ComplexImage,
+    config: SolverConfig | None = None,
+) -> tuple[ComplexImage, ComplexImage, list[DecompositionResult]]:
+    """Split a 2D image or a 3D volume into target and interference images.
+
+    A 2D image is decomposed as it is.  A 3D volume is decomposed whole, by
+    its mode-1 unfolding (matricize_3d), or with config.per_slice_3d one
+    height slice at a time.  Returns the two parts on the input's grid and
+    one result per decomposed matrix.
+    """
+    cfg = config if config is not None else SolverConfig()
+    grid = image.grid
+    if grid.ndim == 3 and cfg.per_slice_3d:
+        results = [decompose(image.values[:, :, o], cfg) for o in range(grid.height.count)]
+        x_vol = np.stack([r.target for r in results], axis=2)
+        c_vol = np.stack([r.interference for r in results], axis=2)
+        return ComplexImage(x_vol, grid), ComplexImage(c_vol, grid), results
+    if grid.ndim == 3:
+        res = decompose(matricize_3d(image), cfg)
+        return dematricize_3d(res.target, grid), dematricize_3d(res.interference, grid), [res]
+    if grid.ndim != 2:
+        raise ValueError("decompose_image expects a 2D image or a 3D volume")
+    res = decompose(image.values, cfg)
+    return ComplexImage(res.target, grid), ComplexImage(res.interference, grid), [res]
+
+
 def decompose_volume(
     volume: ComplexImage,
     config: SolverConfig | None = None,
 ) -> tuple[ComplexImage, ComplexImage, list[DecompositionResult]]:
     """Decompose a 3D volume, whole (mode-1 unfolding) or per height slice."""
-    cfg = config if config is not None else SolverConfig()
     if volume.grid.ndim != 3:
         raise ValueError("decompose_volume expects a 3D volume")
-    if cfg.per_slice_3d:
-        x_vol = np.zeros_like(volume.values)
-        c_vol = np.zeros_like(volume.values)
-        results = []
-        for o in range(volume.grid.height.count):
-            res = decompose(volume.values[:, :, o], cfg)
-            x_vol[:, :, o] = res.target
-            c_vol[:, :, o] = res.interference
-            results.append(res)
-        return (
-            ComplexImage(x_vol, volume.grid),
-            ComplexImage(c_vol, volume.grid),
-            results,
-        )
-    res = decompose(matricize_3d(volume), cfg)
-    return (
-        dematricize_3d(res.target, volume.grid),
-        dematricize_3d(res.interference, volume.grid),
-        [res],
-    )
+    return decompose_image(volume, config)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nfsar import cli_io, imaging
+from nfsar import cli_io, imaging, suppression
 from nfsar.core_model import Aperture, PointTarget, RadarParams, Scene, synthesize_echo
 from nfsar.imaging import GridAxis, ImageGrid, backproject_2d, range_compress
 
@@ -75,3 +75,34 @@ def test_swath_warning_count_is_the_same_when_rows_are_split(monkeypatch):
         matches = [run.SWATH_WARNING.search(str(w.message)) for w in caught]
         counts.append([int(m.group(1)) for m in matches if m])
     assert counts[0] == counts[1] and len(counts[0]) == 1 and counts[0][0] > 0
+
+
+@pytest.mark.parametrize("planar, per_slice, calls", [(False, False, 1), (True, False, 1), (True, True, 3)],
+                         ids=["2d", "3d-whole", "3d-per-slice"])
+def test_suppress_stage_calls_decompose_through_the_module(tmp_path, monkeypatch, planar, per_slice, calls):
+    # perfbench times the solver by rebinding suppression.decompose; a stage
+    # that reached the solver another way would leave that span at 0.
+    grid = {"range": {"start": 1.8, "spacing": 0.05, "count": 7}, "azimuth": {"start": -0.1, "spacing": 0.05, "count": 5}}
+    if planar:
+        grid["height"] = {"start": -0.05, "spacing": 0.05, "count": 3}
+    config = cli_io.parse_config({
+        "radar": {"f0": 9e9, "delta_f": 46875000.0, "num_freq": 64},
+        "aperture": {"kind": "planar" if planar else "linear", "origin": [-0.1, 0.0, -0.1 if planar else 0.0],
+                     "azimuth_count": 8, "azimuth_spacing": 0.03, "height_count": 8 if planar else 1,
+                     "height_spacing": 0.03},
+        "scene": {"targets": [{"position": [0.0, 2.0, 0.0]}], "interferers": [{"delay_range": 1.9}]},
+        "grid": grid,
+        "solver": {"max_iter": 20, "per_slice_3d": per_slice},
+        "oversample": 4,
+        "output_dir": str(tmp_path / "out"),
+    })
+    decompose = suppression.decompose
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(suppression, "decompose", counting)
+    cli_io.run_pipeline(config, ["simulate", "compress", "image", "suppress"])
+    assert len(seen) == calls

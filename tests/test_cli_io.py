@@ -18,6 +18,7 @@ from nfsar.cli_io import (
     write_array,
 )
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
+from nfsar.suppression import decompose_image
 
 
 def minimal_config():
@@ -317,16 +318,16 @@ class TestExportDbImage:
         assert pgm.read_bytes().startswith(b"P5\n3 1\n255\n")
 
     def test_3d_requires_slice(self, tmp_path):
-        vol = ComplexImage(np.ones((3, 4, 5), dtype=complex),
-                           ImageGrid((GridAxis(0, 1, 3), GridAxis(0, 1, 4), GridAxis(0, 1, 5))))
-        with pytest.raises(ValueError, match="slice_axis"):
-            export_db_image(vol, -60.0, tmp_path / "v")
-        pgm, _ = export_db_image(vol, -60.0, tmp_path / "v", slice_axis="height")
-        assert pgm.read_bytes().startswith(b"P5\n4 3\n255\n")
-        pgm2, _ = export_db_image(vol, -60.0, tmp_path / "v2", slice_axis="range", slice_index=1)
-        assert pgm2.read_bytes().startswith(b"P5\n5 4\n255\n")
-        with pytest.raises(ValueError, match="slice_index"):
-            export_db_image(vol, -60.0, tmp_path / "v3", slice_axis="range", slice_index=9)
+        # A volume is exported as its maximum projection along height.
+        vals = np.full((3, 4, 5), 1e-3, dtype=complex)
+        vals[1, 2, 4] = 1.0
+        vol = ComplexImage(vals, ImageGrid((GridAxis(0, 1, 3), GridAxis(0, 1, 4), GridAxis(0, 1, 5))))
+        pgm, csv = export_db_image(vol, -80.0, tmp_path / "v")
+        raw = pgm.read_bytes()
+        assert raw.startswith(b"P5\n4 3\n255\n")
+        pixels = np.frombuffer(raw[len(b"P5\n4 3\n255\n"):], dtype=np.uint8).reshape(3, 4)
+        assert pixels[1, 2] == 255 and np.count_nonzero(pixels == 255) == 1
+        assert len(csv.read_text().splitlines()) == 3
 
 
 def volume_config(out_dir):
@@ -432,6 +433,24 @@ class TestPipeline:
         assert main(["simulate", "--config", str(cfg_path)]) == 0  # a rerun repairs the run
         assert main(["compress", "--config", str(cfg_path)]) == 0
 
+    def test_stage_refuses_upstream_bytes_another_config_rewrote(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = pipeline_config(out)
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        a_path.write_text(json.dumps(cfg))
+        cfg["solver"]["mu"] = 0.03
+        cfg["guard_cells"] = 1000
+        b_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(a_path)]) == 0
+        # B rewrites every stage file, then fails at evaluate: the manifest keeps A's entries.
+        assert main(["pipeline", "--config", str(b_path)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["config_hash"] == load_config(a_path).config_hash
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(a_path)]) == 1
+        err = capsys.readouterr().err
+        assert "'target.nfsc' differs" in err and "run stage 'suppress' again" in err
+        assert main(["pipeline", "--config", str(a_path), "--stages", "suppress,evaluate"]) == 0
+
     def test_full_run_leaves_no_temp_files(self, tmp_path):
         out = tmp_path / "out"
         run_pipeline(parse_config(pipeline_config(out)))
@@ -466,12 +485,17 @@ class TestPipeline:
         assert (out / "echo.nfsc").exists()
         assert not (out / ".lock").exists()
 
-    def test_non_finite_metric_fails_evaluate(self, tmp_path, capsys):
+    def test_non_finite_metric_fails_evaluate(self, tmp_path, capsys, monkeypatch):
+        def zero_target(image, config):
+            target, interference, results = decompose_image(image, config)
+            return ComplexImage(np.zeros_like(target.values), target.grid), interference, results
+
         out = tmp_path / "out"
         config = parse_config(pipeline_config(out))
+        monkeypatch.setattr(cli_io, "decompose_image", zero_target)
         run_pipeline(config, stages=["simulate", "compress", "image", "suppress"])
-        target, axes = read_array(out / "target.nfsc")
-        write_array(out / "target.nfsc", np.zeros_like(target), axes)
+        monkeypatch.undo()
+        assert not np.any(read_array(out / "target.nfsc")[0])
         with np.errstate(divide="ignore"), pytest.raises(PipelineError, match="sinr_gain_db is not finite"):
             run_pipeline(config, stages=["evaluate"])
         assert not (out / "report.txt").exists()
@@ -591,6 +615,26 @@ class TestCli:
         assert main(["simulate", "--config", str(path), "--seed", "4"]) == 0
         b, _ = read_array(tmp_path / "out" / "echo.nfsc")
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_rejected_at_load(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        cfg = json.loads(path.read_text())
+        cfg["seed"] = -1
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error: seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_stage_list_rejected(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        for stages in (",", ""):
+            assert main(["pipeline", "--config", str(path), "--stages", stages]) == 1
+            assert "no stage to run" in capsys.readouterr().err
+        with pytest.raises(PipelineError, match="no stage to run"):
+            run_pipeline(load_config(path), [])
+        assert not (tmp_path / "out").exists()
 
     def test_floor_db_override_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

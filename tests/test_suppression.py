@@ -9,6 +9,7 @@ from nfsar.suppression import (
     _norm,
     _svt,
     decompose,
+    decompose_image,
     decompose_volume,
     default_params,
     dematricize_3d,
@@ -539,3 +540,47 @@ class TestDecomposeVolume:
         x_slice, _, info_slice = decompose_volume(vol, cfg_slice)
         assert len(info_slice) == 5
         assert np.abs(x_slice.values[5, 2, 2]) > 1.0
+
+
+class TestDecomposeImage:
+    cfg = SolverConfig(mu=0.3, rho=1.5, auto_weights=False, max_iter=40)
+
+    def test_2d_image_is_decompose(self):
+        rng = np.random.default_rng(31)
+        grid = ImageGrid((GridAxis(0.0, 1.0, 9), GridAxis(0.0, 1.0, 6)))
+        img = ComplexImage(random_complex(rng, (9, 6)), grid)
+        x, c, (res,) = decompose_image(img, self.cfg)
+        ref = decompose(img.values, self.cfg)
+        assert x.grid == grid and c.grid == grid
+        assert x.values.tobytes() == ref.target.tobytes()
+        assert c.values.tobytes() == ref.interference.tobytes()
+        assert res.objective_trace == ref.objective_trace
+
+    def test_3d_volume_whole_is_the_matricized_decompose(self):
+        rng = np.random.default_rng(32)
+        vol = ComplexImage(random_complex(rng, (7, 5, 4)), volume_grid(7, 5, 4))
+        x, c, (res,) = decompose_image(vol, self.cfg)
+        ref = decompose(matricize_3d(vol), self.cfg)
+        assert x.values.tobytes() == dematricize_3d(ref.target, vol.grid).values.tobytes()
+        assert c.values.tobytes() == dematricize_3d(ref.interference, vol.grid).values.tobytes()
+        assert res.objective_trace == ref.objective_trace
+
+    def test_3d_volume_per_slice_is_a_slice_loop(self):
+        rng = np.random.default_rng(33)
+        vol = ComplexImage(random_complex(rng, (7, 5, 4)), volume_grid(7, 5, 4))
+        cfg = SolverConfig(mu=0.3, rho=1.5, auto_weights=False, max_iter=40, per_slice_3d=True)
+        x, c, results = decompose_image(vol, cfg)
+        assert len(results) == 4
+        for o, res in enumerate(results):
+            ref = decompose(vol.values[:, :, o], cfg)
+            assert x.values[:, :, o].tobytes() == ref.target.tobytes()
+            assert c.values[:, :, o].tobytes() == ref.interference.tobytes()
+            assert res.objective_trace == ref.objective_trace
+
+    def test_other_ranks_rejected(self):
+        profile = ComplexImage(np.ones(5, dtype=complex), ImageGrid((GridAxis(0.0, 1.0, 5),)))
+        with pytest.raises(ValueError, match="2D image or a 3D volume"):
+            decompose_image(profile, self.cfg)
+        with pytest.raises(ValueError, match="3D volume"):
+            decompose_volume(ComplexImage(np.ones((3, 3), dtype=complex),
+                                          ImageGrid((GridAxis(0.0, 1.0, 3), GridAxis(0.0, 1.0, 3)))))
