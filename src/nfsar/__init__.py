@@ -17,7 +17,6 @@ from .core_model import (
     fit_clipper_polynomial,
     polynomial_transfer,
     predict_harmonic_ranges,
-    range_history,
     synthesize_echo,
 )
 from .evaluation import (

@@ -84,7 +84,7 @@ class PipelineError(RuntimeError):
 
 
 @contextlib.contextmanager
-def _replacing(path, mode: str = "wb"):
+def _replacing(path):
     """Open a temp file beside path for writing; on success rename it onto path.
 
     The rename is atomic, so a write that fails or is killed midway leaves
@@ -94,7 +94,7 @@ def _replacing(path, mode: str = "wb"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -102,11 +102,28 @@ def _replacing(path, mode: str = "wb"):
         raise
 
 
-def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -> None:
+def _header(arr: np.ndarray, axes) -> bytes:
+    header = MAGIC
+    header += struct.pack("<III", FORMAT_VERSION, DTYPE_COMPLEX64, arr.ndim)
+    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    for start, spacing in axes:
+        header += struct.pack("<dd", float(start), float(spacing))
+    return header
+
+
+def _encoded_sha256(arr: np.ndarray, axes) -> str:
+    """sha256 of the file that holds this C-contiguous complex64 array."""
+    digest = hashlib.sha256(_header(arr, axes))
+    digest.update(arr)
+    return digest.hexdigest()
+
+
+def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -> str:
     """Write a complex array with per-axis (start, spacing) metadata.
 
     Samples are stored as interleaved little-endian float32 pairs in C
     order (last axis fastest).  Reading back a complex64 array is bit-exact.
+    Returns the sha256 of the file's bytes.
     """
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex64))
     if arr.ndim < 1 or arr.ndim > MAX_DIMS:
@@ -115,15 +132,18 @@ def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -
         axes = [(0.0, 1.0)] * arr.ndim
     if len(axes) != arr.ndim:
         raise ArrayFormatError("axes metadata must match array rank")
-    header = MAGIC
-    header += struct.pack("<III", FORMAT_VERSION, DTYPE_COMPLEX64, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    for start, spacing in axes:
-        header += struct.pack("<dd", float(start), float(spacing))
-    payload = arr.view(np.float32).tobytes()
     with _replacing(path) as fh:
-        fh.write(header)
-        fh.write(payload)
+        fh.write(_header(arr, axes))
+        fh.write(arr.data)
+    return _encoded_sha256(arr, axes)
+
+
+def _write_text(path, text: str) -> str:
+    """Write a text file atomically; returns the sha256 of its bytes."""
+    data = text.encode()
+    with _replacing(path) as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_array(path) -> tuple[np.ndarray, list[tuple[float, float]]]:
@@ -375,10 +395,6 @@ def load_config(path) -> PipelineConfig:
 # dB-image export
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
 def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Path, Path]:
     """Write an 8-bit graymap and a CSV of dB magnitudes.
 
@@ -392,7 +408,7 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
     elif db.ndim == 1:
         db = db[None, :]
 
-    pixels = np.clip(_round_half_up(255.0 * (db - floor_db) / (0.0 - floor_db)), 0, 255)
+    pixels = np.clip(np.floor(255.0 * (db - floor_db) / (0.0 - floor_db) + 0.5), 0, 255)
     pixels = pixels.astype(np.uint8)
     base = Path(base_path)
     pgm_path = base.with_suffix(".pgm")
@@ -401,9 +417,8 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
     with _replacing(pgm_path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(pixels.tobytes())
-    with _replacing(csv_path, "w") as fh:
-        for row in db:
-            fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+    with _replacing(csv_path) as fh:
+        np.savetxt(fh, db, fmt="%.6f", delimiter=",")
     return pgm_path, csv_path
 
 
@@ -411,24 +426,21 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
 # pipeline stages
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _entry(out: Path, filename: str, extents=None) -> dict:
-    e = {"file": filename, "sha256": _sha256(out / filename)}
+def _entry(filename: str, sha256: str, extents=None) -> dict:
+    e = {"file": filename, "sha256": sha256}
     if extents is not None:
         e["extents"] = [int(v) for v in extents]
     return e
 
 
-def _need(out: Path, artifacts: dict, filename: str, producer: str) -> Path:
-    """Path of an upstream artifact that this config's runs produced.
+def _need(out: Path, artifacts: dict, filename: str, producer: str) -> tuple[np.ndarray, list]:
+    """Read an upstream array that this config's runs produced: (data, axes).
 
     artifacts holds the entries made under the current config hash, carried
     over from the manifest or added by an earlier stage of this run.  The
-    file's sha256 must match its entry: another config's run may have
-    rewritten it without recording that in the manifest.
+    file is read once; the sha256 of what was read, in its file encoding,
+    must match the entry: another config's run may have rewritten it without
+    recording that in the manifest.
     """
     path = out / filename
     if not path.exists():
@@ -441,12 +453,17 @@ def _need(out: Path, artifacts: dict, filename: str, producer: str) -> Path:
             f"upstream artifact {filename!r} was not made under this config "
             f"(run stage {producer!r} first)"
         )
-    if _sha256(path) != entry.get("sha256"):
+    try:
+        data, axes = read_array(path)
+        intact = _encoded_sha256(data, axes) == entry.get("sha256")
+    except ArrayFormatError:
+        intact = False
+    if not intact:
         raise PipelineError(
             f"upstream artifact {filename!r} differs from the one stage {producer!r} recorded "
             f"(run stage {producer!r} again)"
         )
-    return path
+    return data, axes
 
 
 def _simulate_echo(config: PipelineConfig, scene: Scene) -> EchoData:
@@ -455,46 +472,44 @@ def _simulate_echo(config: PipelineConfig, scene: Scene) -> EchoData:
 
 
 def _image_from_profiles(config: PipelineConfig, profiles: RangeProfileSet) -> ComplexImage:
-    if config.grid is None:
-        raise ConfigError("grid: required for the image stage")
     return (backproject_3d if config.grid.ndim == 3 else backproject_2d)(profiles, config.grid)
 
 
 def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     echo = _simulate_echo(config, config.scene)
     axes = [(config.radar.f0, config.radar.delta_f), (0.0, 1.0)]
-    write_array(out / ECHO_FILE, echo.samples, axes)
-    return {"echo": _entry(out, ECHO_FILE, echo.samples.shape)}
+    sha256 = write_array(out / ECHO_FILE, echo.samples, axes)
+    return {"echo": _entry(ECHO_FILE, sha256, echo.samples.shape)}
 
 
 def stage_compress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
-    data, _ = read_array(_need(out, artifacts, ECHO_FILE, "simulate"))
+    data, _ = _need(out, artifacts, ECHO_FILE, "simulate")
     echo = EchoData(data, config.radar, config.aperture)
     profiles = range_compress(echo, config.oversample)
     axes = [(0.0, profiles.tau_spacing), (0.0, 1.0)]
-    write_array(out / PROFILES_FILE, profiles.profiles, axes)
-    return {"profiles": _entry(out, PROFILES_FILE, profiles.profiles.shape)}
+    sha256 = write_array(out / PROFILES_FILE, profiles.profiles, axes)
+    return {"profiles": _entry(PROFILES_FILE, sha256, profiles.profiles.shape)}
 
 
 def _load_profiles(config: PipelineConfig, out: Path, artifacts: dict) -> RangeProfileSet:
-    data, _ = read_array(_need(out, artifacts, PROFILES_FILE, "compress"))
+    data, _ = _need(out, artifacts, PROFILES_FILE, "compress")
     return RangeProfileSet(data, config.oversample, config.radar, config.aperture)
 
 
-def _write_image(path: Path, image: ComplexImage) -> None:
-    write_array(path, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
+def _write_image(path: Path, image: ComplexImage) -> str:
+    return write_array(path, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
 
 
 def stage_image(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     profiles = _load_profiles(config, out, artifacts)
     image = _image_from_profiles(config, profiles)
-    _write_image(out / IMAGE_FILE, image)
+    sha256 = _write_image(out / IMAGE_FILE, image)
     export_db_image(image, config.floor_db, out / "image_raw_db")
-    return {"image": _entry(out, IMAGE_FILE, image.values.shape)}
+    return {"image": _entry(IMAGE_FILE, sha256, image.values.shape)}
 
 
 def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
-    data, axes = read_array(_need(out, artifacts, filename, producer))
+    data, axes = _need(out, artifacts, filename, producer)
     grid = ImageGrid(tuple(GridAxis(start, spacing, int(n)) for (start, spacing), n in zip(axes, data.shape)))
     return ComplexImage(data, grid)
 
@@ -502,8 +517,8 @@ def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> Com
 def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     image = _load_image(out, artifacts, IMAGE_FILE, "image")
     target, interference, results = decompose_image(image, config.solver)
-    _write_image(out / TARGET_FILE, target)
-    _write_image(out / INTERFERENCE_FILE, interference)
+    target_sha256 = _write_image(out / TARGET_FILE, target)
+    interference_sha256 = _write_image(out / INTERFERENCE_FILE, interference)
     slices = [
         {
             "mu": r.mu,
@@ -514,45 +529,36 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         }
         for r in results
     ]
-    with _replacing(out / "decomposition.json", "w") as fh:
-        json.dump(
-            {
-                "mu": results[0].mu,
-                "rho": results[0].rho,
-                "iterations": sum(r.iterations_run for r in results),
-                "converged": all(r.converged for r in results),
-                "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),
-                "slices": slices,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    with _replacing(out / "objective_trace.csv", "w") as fh:
-        fh.write("slice,iteration,objective\n")
-        for k, r in enumerate(results):
-            for i, val in enumerate(r.objective_trace, start=1):
-                fh.write(f"{k},{i},{val:.12e}\n")
+    record = {
+        "mu": results[0].mu,
+        "rho": results[0].rho,
+        "iterations": sum(r.iterations_run for r in results),
+        "converged": all(r.converged for r in results),
+        "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),
+        "slices": slices,
+    }
+    _write_text(out / "decomposition.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+    rows = [
+        f"{k},{i},{val:.12e}\n"
+        for k, r in enumerate(results)
+        for i, val in enumerate(r.objective_trace, start=1)
+    ]
+    _write_text(out / "objective_trace.csv", "slice,iteration,objective\n" + "".join(rows))
     export_db_image(target, config.floor_db, out / "target_db")
     export_db_image(interference, config.floor_db, out / "interference_db")
     return {
-        "target": _entry(out, TARGET_FILE, target.values.shape),
-        "interference": _entry(out, INTERFERENCE_FILE, interference.values.shape),
+        "target": _entry(TARGET_FILE, target_sha256, target.values.shape),
+        "interference": _entry(INTERFERENCE_FILE, interference_sha256, interference.values.shape),
     }
 
 
 def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
-    if not config.scene.targets:
-        raise PipelineError("evaluate stage needs at least one target in the scene")
     raw = _load_image(out, artifacts, IMAGE_FILE, "image")
     suppressed = _load_image(out, artifacts, TARGET_FILE, "suppress")
 
     # Reference chain: re-run the simulation without targets and subtract,
     # reusing the seed so the noise realization cancels exactly.
-    background_scene = Scene(
-        targets=[], interferers=config.scene.interferers, noise_sigma=config.scene.noise_sigma
-    )
+    background_scene = dataclasses.replace(config.scene, targets=[])
     echo_bg = _simulate_echo(config, background_scene)
     profiles_bg = range_compress(echo_bg, config.oversample)
     reference = background_subtract(raw, _image_from_profiles(config, profiles_bg))
@@ -568,12 +574,10 @@ def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         )
     except ValueError as exc:
         raise PipelineError(f"evaluate: {exc}") from exc
-    with _replacing(out / REPORT_FILE, "w") as fh:
-        fh.write(report.to_text())
+    sha256 = _write_text(out / REPORT_FILE, report.to_text())
     header, row = report.to_csv_row()
-    with _replacing(out / "report.csv", "w") as fh:
-        fh.write(header + "\n" + row + "\n")
-    return {"report": _entry(out, REPORT_FILE)}
+    _write_text(out / "report.csv", header + "\n" + row + "\n")
+    return {"report": _entry(REPORT_FILE, sha256)}
 
 
 STAGE_FUNCS = {
@@ -652,6 +656,12 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     ordered = [s for s in STAGE_ORDER if s in requested]
     if not ordered:
         raise PipelineError("no stage to run")
+    # What the stages need of the config is checked before anything is written.
+    needs_grid = [s for s in ordered if s in ("image", "evaluate")]
+    if config.grid is None and needs_grid:
+        raise ConfigError(f"grid: required for the {needs_grid[0]} stage")
+    if "evaluate" in ordered and not config.scene.targets:
+        raise PipelineError("evaluate stage needs at least one target in the scene")
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -666,8 +676,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
             "seed": config.seed,
             "artifacts": artifacts,
         }
-        with _replacing(manifest_path, "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -202,13 +202,6 @@ class EchoData:
             )
 
 
-def range_history(aperture_position, target_position) -> float:
-    """One-way Euclidean distance [m]; the monostatic phase uses twice this."""
-    p = np.asarray(aperture_position, dtype=float)
-    q = np.asarray(target_position, dtype=float)
-    return float(np.linalg.norm(p - q))
-
-
 def synthesize_echo(
     radar: RadarParams,
     aperture: Aperture,

@@ -56,26 +56,17 @@ class RangeProfileSet:
         return self.radar.c * self.tau_axis / 2.0
 
 
-def range_compress(echo: EchoData, oversample: int = 8, raised_cosine: bool = False) -> RangeProfileSet:
+def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     """Turn frequency samples into fast-time profiles per slow-time column.
 
     Zero-pads each column to oversample * num_freq and applies the inverse
     DFT, scaled so a unit-amplitude scatterer gives a unit-magnitude peak at
-    the bin nearest tau = 2R/c.  No window by default; raised_cosine enables
-    an optional Hann taper (wider mainlobe, lower sidelobes).
+    the bin nearest tau = 2R/c.  No window is applied.
     """
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    x = echo.samples
-    if x.size == 0:
-        raise ValueError("empty echo")
-    m = echo.radar.num_freq
-    if raised_cosine:
-        # Hann taper over the frequency steps.
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(m) / (m - 1))
-        x = x * w[:, None]
-    nbins = oversample * m
-    profiles = np.fft.ifft(x, n=nbins, axis=0) * oversample
+    nbins = oversample * echo.radar.num_freq
+    profiles = np.fft.ifft(echo.samples, n=nbins, axis=0) * oversample
     return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
 
 

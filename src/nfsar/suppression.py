@@ -51,6 +51,8 @@ class SolverConfig:
             raise ValueError("mu: must be >= 0")
         if self.rho is not None and self.rho < 0:
             raise ValueError("rho: must be >= 0")
+        if not self.auto_weights and (self.mu is None or self.rho is None):
+            raise ValueError("auto_weights: mu and rho must both be set when auto_weights is false")
 
 
 @dataclass
@@ -110,10 +112,6 @@ def update_target(target_prev, interference_prev, interfered, alpha: float, mu: 
     i_mat = np.asarray(interfered)
     if not (x.shape == c.shape == i_mat.shape):
         raise ValueError("update_target requires matching matrix dimensions")
-    return _target_step(x, c, i_mat, alpha, mu)
-
-
-def _target_step(x, c, i_mat, alpha: float, mu: float) -> np.ndarray:
     return soft_threshold_entries(x + alpha * (i_mat - c - x), alpha * mu)
 
 
@@ -242,13 +240,8 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return diff / base
 
 
-def decompose(
-    interfered,
-    config: SolverConfig | None = None,
-    x0=None,
-    c0=None,
-) -> DecompositionResult:
-    """Run the alternating proximal iteration from X = C = 0 (or given starts).
+def decompose(interfered, config: SolverConfig | None = None) -> DecompositionResult:
+    """Run the alternating proximal iteration from X = C = 0.
 
     Stops when the relative change of both iterates drops below config.tol
     or after config.max_iter iterations.  With alpha = beta = 1 each step is
@@ -264,26 +257,21 @@ def decompose(
     if not np.all(np.isfinite(i_mat.real)) or not np.all(np.isfinite(i_mat.imag)):
         raise ValueError("decompose requires finite input")
 
-    if cfg.mu is not None and cfg.rho is not None:
-        mu, rho = cfg.mu, cfg.rho
-    elif cfg.auto_weights:
+    mu, rho = cfg.mu, cfg.rho
+    if mu is None or rho is None:  # auto_weights: SolverConfig allows no other case
         auto_mu, auto_rho = default_params(i_mat) if np.any(i_mat) else (0.0, 0.0)
-        mu = cfg.mu if cfg.mu is not None else auto_mu
-        rho = cfg.rho if cfg.rho is not None else auto_rho
-    else:
-        raise ValueError("mu and rho must be set when auto_weights is off")
+        mu = auto_mu if mu is None else mu
+        rho = auto_rho if rho is None else rho
 
-    x = np.zeros_like(i_mat) if x0 is None else np.asarray(x0, dtype=np.complex128).copy()
-    c = np.zeros_like(i_mat) if c0 is None else np.asarray(c0, dtype=np.complex128).copy()
-    if x.shape != i_mat.shape or c.shape != i_mat.shape:
-        raise ValueError("initial iterates must match the input dimensions")
+    x = np.zeros_like(i_mat)
+    c = np.zeros_like(i_mat)
 
     threshold = cfg.beta * rho
     trace: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        x_new = _target_step(x, c, i_mat, cfg.alpha, mu)
+        x_new = update_target(x, c, i_mat, cfg.alpha, mu)
         c_new, s, u, vh = _svt(_interference_step_point(c, x_new, i_mat, cfg.beta), threshold)
         if not (np.isfinite(x_new).all() and np.isfinite(c_new).all()):
             raise RuntimeError(f"non-finite iterate at iteration {iterations}")

@@ -1,5 +1,9 @@
 import fcntl
+import hashlib
 import json
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +351,39 @@ def volume_config(out_dir):
     }
 
 
+class _ReadOpens:
+    """Files opened for reading while a test records, seen by an audit hook.
+
+    The hook sees every open of the process, whichever function makes it.
+    Audit hooks cannot be removed, so it is added once and records only
+    while `files` is a list.
+    """
+
+    files = None
+    installed = False
+
+    @classmethod
+    def hook(cls, event, args):
+        if event != "open" or cls.files is None or not isinstance(args[0], (str, bytes, os.PathLike)):
+            return
+        path, mode, flags = args
+        reading = "r" in mode if isinstance(mode, str) else (flags & os.O_ACCMODE) == os.O_RDONLY
+        if reading:
+            cls.files.append(Path(os.fsdecode(path)))
+
+
+@pytest.fixture
+def read_opens():
+    if not _ReadOpens.installed:
+        sys.addaudithook(_ReadOpens.hook)
+        _ReadOpens.installed = True
+    _ReadOpens.files = []
+    try:
+        yield _ReadOpens.files
+    finally:
+        _ReadOpens.files = None
+
+
 class TestPipeline:
     def test_full_run_produces_manifest_and_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -450,6 +487,37 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "'target.nfsc' differs" in err and "run stage 'suppress' again" in err
         assert main(["pipeline", "--config", str(a_path), "--stages", "suppress,evaluate"]) == 0
+
+    def test_stage_inputs_are_read_once(self, tmp_path, read_opens):
+        out = tmp_path / "out"
+        run_pipeline(parse_config(pipeline_config(out)))
+        # The manifest is read to learn which artifacts to trust; it is not a stage input.
+        artifacts = [p.name for p in read_opens if p.parent == out and p.name != "manifest.json"]
+        assert sorted(artifacts) == sorted(
+            ["echo.nfsc", "profiles.nfsc", "image_raw.nfsc", "image_raw.nfsc", "target.nfsc"])
+
+    def test_manifest_digests_are_the_file_digests(self, tmp_path):
+        # Run directories made before the digests came from the written
+        # arrays stay valid only if the two agree byte for byte.
+        out = tmp_path / "out"
+        manifest = run_pipeline(parse_config(pipeline_config(out)))
+        assert len(manifest["artifacts"]) == 6
+        for entry in manifest["artifacts"].values():
+            assert entry["sha256"] == hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
+        assert cli_io.write_array(tmp_path / "a.nfsc", np.arange(3) + 1j, [(0.5, 0.25)]) == \
+            hashlib.sha256((tmp_path / "a.nfsc").read_bytes()).hexdigest()
+
+    def test_truncated_upstream_file_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(pipeline_config(out)))
+        assert main(["pipeline", "--config", str(cfg_path), "--stages", "simulate,compress"]) == 0
+        profiles = out / "profiles.nfsc"
+        profiles.write_bytes(profiles.read_bytes()[:-8])
+        assert main(["image", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "'profiles.nfsc' differs" in err and "run stage 'compress' again" in err
+        assert not (out / "image_raw.nfsc").exists()
 
     def test_full_run_leaves_no_temp_files(self, tmp_path):
         out = tmp_path / "out"
@@ -635,6 +703,36 @@ class TestCli:
         with pytest.raises(PipelineError, match="no stage to run"):
             run_pipeline(load_config(path), [])
         assert not (tmp_path / "out").exists()
+
+    def test_fixed_weights_need_mu_and_rho_at_load(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["solver"] = {"auto_weights": False, "mu": 0.02}
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "solver.auto_weights: mu and rho must both be set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stages, stage", [(None, "image"), ("simulate,compress,evaluate", "evaluate")])
+    def test_grid_required_before_anything_is_written(self, tmp_path, capsys, stages, stage):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg["grid"]
+        path.write_text(json.dumps(cfg))
+        argv = ["pipeline", "--config", str(path)] + (["--stages", stages] if stages else [])
+        assert main(argv) == 2
+        assert f"config error: grid: required for the {stage} stage" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_needs_a_target_before_anything_is_written(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["scene"]["targets"] = []
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert "evaluate stage needs at least one target" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["pipeline", "--config", str(path), "--stages", "simulate,compress,image,suppress"]) == 0
 
     def test_floor_db_override_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -15,7 +15,6 @@ from nfsar.core_model import (
     fit_clipper_polynomial,
     polynomial_transfer,
     predict_harmonic_ranges,
-    range_history,
     synthesize_echo,
 )
 from nfsar.evaluation import peak_detect
@@ -63,17 +62,6 @@ class TestAperture:
     def test_target_must_be_in_front(self):
         with pytest.raises(ValueError):
             PointTarget(position=(0.0, -1.0, 0.0))
-
-
-class TestRangeHistory:
-    def test_coincident_points(self):
-        assert range_history((0, 0, 0), (0, 0, 0)) == 0.0
-
-    def test_three_four_five(self):
-        assert range_history((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
-
-    def test_general_euclidean(self):
-        assert range_history((1, 1, 1), (2, 3, 4)) == pytest.approx(3.7416573867739413)
 
 
 class TestSynthesizeEcho:

@@ -107,18 +107,6 @@ class TestRangeCompress:
         expected = 0.886 * C / (2 * RADAR.bandwidth)
         assert abs(width - expected) / expected < 0.2
 
-    def test_raised_cosine_flag_widens_mainlobe(self):
-        echo = synthesize_echo(RADAR, one_position(), Scene(targets=[PointTarget((0.0, 3.0, 0.0))]))
-        rect = np.abs(range_compress(echo, 8).profiles[:, 0])
-        hann = np.abs(range_compress(echo, 8, raised_cosine=True).profiles[:, 0])
-        # windowing trades mainlobe width for sidelobes: peak sidelobe drops
-        def sidelobe(mag):
-            peak = np.argmax(mag)
-            lo, hi = peak - 24, peak + 24
-            rest = np.concatenate([mag[:lo], mag[hi:]])
-            return rest.max() / mag[peak]
-        assert sidelobe(hann) < sidelobe(rect)
-
     def test_oversample_validated(self):
         echo = synthesize_echo(RADAR, one_position(), Scene())
         with pytest.raises(ValueError):
