@@ -517,6 +517,8 @@ def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> Com
 def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     image = _load_image(out, artifacts, IMAGE_FILE, "image")
     target, interference, results = decompose_image(image, config.solver)
+    if not all(np.isfinite(r.objective_trace).all() for r in results):
+        raise PipelineError("suppress: objective_trace is not finite (the objective overflows in the image's units)")
     target_sha256 = _write_image(out / TARGET_FILE, target)
     interference_sha256 = _write_image(out / INTERFERENCE_FILE, interference)
     slices = [
@@ -526,6 +528,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
             "iterations": r.iterations_run,
             "converged": r.converged,
             "residual_norm": r.residual_norm,
+            "restarts": r.restarts,
         }
         for r in results
     ]
@@ -539,11 +542,11 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     }
     _write_text(out / "decomposition.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     rows = [
-        f"{k},{i},{val:.12e}\n"
+        f"{k},{i},{val:.12e},{rank},{nnz}\n"
         for k, r in enumerate(results)
-        for i, val in enumerate(r.objective_trace, start=1)
+        for i, (val, rank, nnz) in enumerate(zip(r.objective_trace, r.rank_c, r.nnz_x), start=1)
     ]
-    _write_text(out / "objective_trace.csv", "slice,iteration,objective\n" + "".join(rows))
+    _write_text(out / "objective_trace.csv", "slice,iteration,objective,rank_c,nnz_x\n" + "".join(rows))
     export_db_image(target, config.floor_db, out / "target_db")
     export_db_image(interference, config.floor_db, out / "interference_db")
     return {

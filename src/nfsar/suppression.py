@@ -4,10 +4,20 @@ An interfered image is split as I ~ X + C by minimizing
 
     0.5 * ||I - C - X||_F^2  +  rho * ||C||_*  +  mu * ||X||_1
 
-with cyclic coordinate descent: the X step is entrywise complex soft
-thresholding, the C step is singular value thresholding.  Point-like
-targets end up in the sparse part X, comb-pattern interference (stripes,
-plates) in the low-rank part C.
+Point-like targets end up in the sparse part X, comb-pattern interference
+(stripes, plates) in the low-rank part C.
+
+One plain step updates X by entrywise complex soft thresholding and then C
+by singular value thresholding.  With unit step sizes it is proximal
+gradient with step 1 on C alone: the objective in C is rho*||C||_* plus the
+Moreau envelope of mu*||.||_1 at I - C, whose gradient is 1-Lipschitz.  The
+solver therefore accelerates it as FISTA does (Beck & Teboulle): each step
+starts from C extrapolated along its last move, with the momentum weight of
+the t_k sequence.  A step whose objective exceeds the previous one is thrown
+away, the momentum is reset, and the plain step is taken from the current
+iterates instead (a monotone restart, after Beck & Teboulle's MFISTA and
+O'Donoghue & Candes' adaptive restart).  The plain step never raises the
+objective, so the trace never increases.
 
 The convex problem selects the model and least squares estimates it: X and
 the objective trace are those of the iteration, while the returned C keeps
@@ -18,6 +28,7 @@ would leave every retained singular value biased down by the threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +70,13 @@ class SolverConfig:
 class DecompositionResult:
     """Recovered sparse target part X and low-rank interference part C.
 
-    target and objective_trace belong to the convex iteration.  interference
-    is that solution's rank-r part, on the singular subspaces the last
-    thresholding step kept, with its singular values refit to I - X by
-    least squares.
+    target and objective_trace belong to the accelerated iteration, one
+    trace entry per accepted iterate, in the input's units (an entry that
+    overflows there is inf).  interference is that solution's rank-r part,
+    on the singular subspaces the last thresholding step kept, with its
+    singular values refit to I - X by least squares.  restarts counts the
+    extrapolated steps thrown away; rank_c and nnz_x give, per iteration,
+    the rank of C and the number of nonzero entries of X.
     """
 
     target: np.ndarray
@@ -73,6 +87,9 @@ class DecompositionResult:
     mu: float
     rho: float
     residual_norm: float  # ||I - X - C||_F for the returned X and C
+    restarts: int
+    rank_c: list[int]
+    nnz_x: list[int]
 
 
 def objective(interfered, target, interference, mu: float, rho: float) -> float:
@@ -98,8 +115,13 @@ def soft_threshold_entries(matrix, threshold: float) -> np.ndarray:
         raise ValueError("threshold must be >= 0")
     m = np.asarray(matrix, dtype=np.complex128)
     mag = np.abs(m)
-    safe = np.where(mag > 0, mag, 1.0)
-    return (m / safe) * np.maximum(mag - threshold, 0.0)
+    keep = mag > threshold
+    # Only the support (under 1% of entries in the solver's X) is computed;
+    # in place, so the work arrays are one complex and one real matrix.
+    out = np.zeros_like(m)
+    np.divide(m, mag, out=out, where=keep)
+    np.multiply(out, np.subtract(mag, threshold, out=mag), out=out, where=keep)
+    return out
 
 
 def update_target(target_prev, interference_prev, interfered, alpha: float, mu: float) -> np.ndarray:
@@ -212,43 +234,44 @@ def default_params(interfered) -> tuple[float, float]:
     return mu, rho
 
 
-# np.linalg.norm sums squares unscaled: results outside this range may have
-# underflowed or overflowed on the way.
-_NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny))
-_NORM_SAFE_MAX = float(np.sqrt(np.finfo(float).max)) / 4.0
-
-
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm that neither underflows nor overflows at any finite scale."""
-    # The unscaled norm squares its input; out of range it overflows or
-    # underflows, which is caught below, so numpy need not warn about it.
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(a))
-    if _NORM_SAFE_MIN <= norm <= _NORM_SAFE_MAX:
-        return norm
-    peak = float(np.abs(a).max(initial=0.0))
-    if peak == 0.0 or not np.isfinite(peak):
-        return norm
-    return float(np.linalg.norm(a / peak)) * peak
-
-
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    diff = _norm(new - old)
-    base = _norm(new)
+    diff = float(np.linalg.norm(new - old))
+    base = float(np.linalg.norm(new))
     if base == 0.0:
         return 0.0 if diff == 0.0 else np.inf
     return diff / base
 
 
+def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
+    """out = a * 2**exponent for complex arrays, exact unless a result is subnormal."""
+    np.ldexp(a.real, exponent, out=out.real)
+    np.ldexp(a.imag, exponent, out=out.imag)
+    return out
+
+
 def decompose(interfered, config: SolverConfig | None = None) -> DecompositionResult:
-    """Run the alternating proximal iteration from X = C = 0.
+    """Run the accelerated proximal iteration from X = C = 0.
+
+    Each iteration extrapolates Y = C + ((t_{k-1} - 1)/t_k)(C - C_prev),
+    with t_0 = 1 and t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2, then takes
+    X = update_target(X, Y, I, alpha, mu) and C = SVT(Y + beta(I - Y - X),
+    beta*rho).  If that step's objective exceeds the previous iterate's, it
+    is discarded, t_k is reset to 1 and the plain step from the current X
+    and C is taken instead; the plain step does not raise the objective at
+    any step sizes in (0, 1], so the trace is non-increasing.
+
+    The iteration runs on I divided by the power of two next above its
+    largest component, with mu and rho divided alike, which is exact in
+    binary floating point.  The objectives it compares therefore neither
+    overflow nor underflow, and its decisions do not depend on the input's
+    scale.  X, C, residual_norm and the trace are scaled back.
 
     Stops when the relative change of both iterates drops below config.tol
-    or after config.max_iter iterations.  With alpha = beta = 1 each step is
-    an exact coordinate minimization, so the objective trace never increases.
-    The returned target and objective trace are the iteration's; the returned
-    interference is the last low-rank step with its retained singular values
-    refit by least squares, and residual_norm is measured against it.
+    (after an extrapolated step, C must also lie within tol of Y, the point
+    the step started from) or after config.max_iter iterations.  The
+    returned target and objective trace are the iteration's; the returned
+    interference is the last low-rank step with its retained singular
+    values refit by least squares, and residual_norm is measured against it.
     """
     cfg = config if config is not None else SolverConfig()
     i_mat = np.asarray(interfered, dtype=np.complex128)
@@ -263,36 +286,79 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
         mu = auto_mu if mu is None else mu
         rho = auto_rho if rho is None else rho
 
+    peak = max(np.abs(i_mat.real).max(initial=0.0), np.abs(i_mat.imag).max(initial=0.0))
+    exponent = math.frexp(peak)[1]
+    i_mat = _times_power_of_two(i_mat, -exponent, np.empty_like(i_mat))
+    mu_n, rho_n = math.ldexp(mu, -exponent), math.ldexp(rho, -exponent)
+    threshold = cfg.beta * rho_n
+
+    def step(x, c):
+        x_new = update_target(x, c, i_mat, cfg.alpha, mu_n)
+        c_new, s, u, vh = _svt(_interference_step_point(c, x_new, i_mat, cfg.beta), threshold)
+        value = _objective_value(i_mat, x_new, c_new, mu_n, rho_n, np.sum(s - threshold))
+        return x_new, c_new, s, u, vh, value
+
     x = np.zeros_like(i_mat)
     c = np.zeros_like(i_mat)
-
-    threshold = cfg.beta * rho
+    c_prev = c
+    t = 1.0
     trace: list[float] = []
+    rank_c: list[int] = []
+    nnz_x: list[int] = []
+    restarts = 0
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        x_new = update_target(x, c, i_mat, cfg.alpha, mu)
-        c_new, s, u, vh = _svt(_interference_step_point(c, x_new, i_mat, cfg.beta), threshold)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        weight = (t - 1.0) / t_next
+        if weight:
+            # Y = C + weight*(C - C_prev), formed in C_prev's buffer, which is not needed again.
+            y = np.subtract(c, c_prev, out=c_prev)
+            y *= weight
+            y += c
+        else:
+            y = c
+        x_new, c_new, s, u, vh, value = step(x, y)
+        if weight and value > trace[-1]:
+            restarts += 1
+            t_next = 1.0
+            x_new = c_new = None  # free the discarded step and Y before the plain one
+            y = c_prev = c
+            x_new, c_new, s, u, vh, value = step(x, c)
+        t = t_next
         if not (np.isfinite(x_new).all() and np.isfinite(c_new).all()):
             raise RuntimeError(f"non-finite iterate at iteration {iterations}")
-        trace.append(_objective_value(i_mat, x_new, c_new, mu, rho, np.sum(s - threshold)))
+        trace.append(value)
+        rank_c.append(len(s))
+        nnz_x.append(int(np.count_nonzero(x_new)))
         change = max(_relative_change(x_new, x), _relative_change(c_new, c))
-        x, c = x_new, c_new
+        if change < cfg.tol and y is not c:
+            # A step from an extrapolated point can repeat the iterate (X
+            # unchanged, hence C unchanged) without that point being a fixed
+            # point; then C_new is far from Y.
+            change = _relative_change(c_new, y)
+        c_prev, x, c = c, x_new, c_new
         if change < cfg.tol:
             converged = True
             break
 
     c = _refit_interference(u, vh, x, i_mat)
-    residual = _norm(i_mat - x - c)
+    residual = float(np.linalg.norm(i_mat - x - c))
+    with np.errstate(over="ignore"):  # an overflow in input units is inf, left to the caller
+        trace_in_units = np.ldexp(np.array(trace), 2 * exponent).tolist()
+        residual = float(np.ldexp(residual, exponent))
     return DecompositionResult(
-        target=x,
-        interference=c,
-        objective_trace=trace,
+        target=_times_power_of_two(x, exponent, x),
+        interference=_times_power_of_two(c, exponent, c),
+        objective_trace=trace_in_units,
         iterations_run=iterations,
         converged=converged,
         mu=float(mu),
         rho=float(rho),
         residual_norm=residual,
+        restarts=restarts,
+        rank_c=rank_c,
+        nnz_x=nnz_x,
     )
 
 

@@ -22,7 +22,7 @@ from nfsar.cli_io import (
     write_array,
 )
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
-from nfsar.suppression import decompose_image
+from nfsar.suppression import decompose, decompose_image
 
 
 def minimal_config():
@@ -423,8 +423,14 @@ class TestPipeline:
         assert len(record["slices"]) == 1
         assert record["slices"][0]["iterations"] == record["iterations"]
         lines = (out / "objective_trace.csv").read_text().splitlines()
-        assert lines[0] == "slice,iteration,objective"
+        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x"
         assert lines[1].startswith("0,1,") and len(lines) == record["iterations"] + 1
+        image, _ = read_array(out / "image_raw.nfsc")
+        res = decompose(image, config.solver)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[3]) for r in rows] == res.rank_c
+        assert [int(r[4]) for r in rows] == res.nnz_x
+        assert record["slices"][0]["restarts"] == res.restarts
         assert not (out / "report.txt").exists()
         assert {"target", "interference"} <= set(manifest["artifacts"])
 
@@ -574,6 +580,25 @@ class TestPipeline:
         assert "sinr_gain_db is not finite" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    def test_non_finite_objective_trace_fails_suppress_before_writing(self, tmp_path, capsys, monkeypatch):
+        def overflowing_trace(image, config):
+            target, interference, results = decompose_image(image, config)
+            results[0].objective_trace[-1] = np.inf
+            return target, interference, results
+
+        out = tmp_path / "out"
+        config = parse_config(pipeline_config(out))
+        run_pipeline(config, stages=["simulate", "compress", "image"])
+        before = sorted(p.name for p in out.iterdir())
+        monkeypatch.setattr(cli_io, "decompose_image", overflowing_trace)
+        with pytest.raises(PipelineError, match="objective_trace is not finite"):
+            run_pipeline(config, stages=["suppress"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(pipeline_config(out)))
+        assert main(["suppress", "--config", str(cfg_path)]) == 1
+        assert "objective_trace is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_3d_pipeline_paths(self, tmp_path):
         out = tmp_path / "out3"
         config = parse_config(volume_config(out))
@@ -597,10 +622,10 @@ class TestPipeline:
         assert record["converged"] == all(s["converged"] for s in slices)
         assert record["residual_norm"] == pytest.approx(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices)))
         for s in slices:
-            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm"}
+            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm", "restarts"}
             assert (s["mu"], s["rho"]) == (0.05, 0.5)
         lines = (out / "objective_trace.csv").read_text().splitlines()
-        assert lines[0] == "slice,iteration,objective"
+        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x"
         rows = [line.split(",") for line in lines[1:]]
         for k, s in enumerate(slices):
             iters = [int(r[1]) for r in rows if int(r[0]) == k]
