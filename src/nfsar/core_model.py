@@ -10,6 +10,7 @@ either as a magnitude clip or as a memoryless polynomial transfer function.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,6 +21,16 @@ C0 = 299792458.0  # free-space propagation speed [m/s]
 
 # Reject echo matrices over ~1 GiB of complex128 unless the caller raises it.
 DEFAULT_MAX_ELEMENTS = 1 << 26
+
+
+def _require_finite(name: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name}: must be finite")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"{name}: must be finite and > 0")
 
 
 @dataclass
@@ -39,14 +50,11 @@ class RadarParams:
     c: float = C0
 
     def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("f0: must be > 0")
-        if self.delta_f <= 0:
-            raise ValueError("delta_f: must be > 0")
+        _require_positive("f0", self.f0)
+        _require_positive("delta_f", self.delta_f)
         if self.num_freq < 2:
             raise ValueError("num_freq: must be >= 2")
-        if self.c <= 0:
-            raise ValueError("c: must be > 0")
+        _require_positive("c", self.c)
 
     @property
     def bandwidth(self) -> float:
@@ -88,13 +96,12 @@ class Aperture:
             raise ValueError("height_count: must be 1 for a linear aperture")
         if self.height_spacing is None:
             self.height_spacing = self.azimuth_spacing
-        if self.azimuth_spacing <= 0:
-            raise ValueError("azimuth_spacing: must be > 0")
-        if self.height_spacing <= 0:
-            raise ValueError("height_spacing: must be > 0")
+        _require_positive("azimuth_spacing", self.azimuth_spacing)
+        _require_positive("height_spacing", self.height_spacing)
         self.origin = tuple(float(v) for v in self.origin)
         if len(self.origin) != 3:
             raise ValueError("origin: must be a 3-vector")
+        _require_finite("origin", *self.origin)
 
     @property
     def num_positions(self) -> int:
@@ -124,11 +131,11 @@ class PointTarget:
         self.position = tuple(float(v) for v in self.position)
         if len(self.position) != 3:
             raise ValueError("position: must be a 3-vector")
+        _require_finite("position", *self.position)
         if self.position[1] <= 0:
             raise ValueError("position: must lie in front of the aperture plane (y > 0)")
         self.amplitude = complex(self.amplitude)
-        if not np.isfinite(self.amplitude.real) or not np.isfinite(self.amplitude.imag):
-            raise ValueError("amplitude: must be finite")
+        _require_finite("amplitude", self.amplitude.real, self.amplitude.imag)
 
 
 @dataclass
@@ -144,11 +151,10 @@ class Interferer:
 
     def __post_init__(self):
         self.delay_range = float(self.delay_range)
-        if self.delay_range < 0:
-            raise ValueError("delay_range: must be >= 0")
+        if not 0 <= self.delay_range < math.inf:  # also rejects NaN
+            raise ValueError("delay_range: must be finite and >= 0")
         self.amplitude = complex(self.amplitude)
-        if not np.isfinite(self.amplitude.real) or not np.isfinite(self.amplitude.imag):
-            raise ValueError("amplitude: must be finite")
+        _require_finite("amplitude", self.amplitude.real, self.amplitude.imag)
 
 
 @dataclass

@@ -122,23 +122,22 @@ class SuppressionReport:
     target_mask: np.ndarray
     interference_mask: np.ndarray
 
+    def metrics(self) -> list[tuple[str, float]]:
+        """The reported figures as ordered (name, value) pairs."""
+        named = [(f"target_peak_error_db_{k}", e) for k, e in enumerate(self.target_peak_error_db)]
+        return named + [("interference_residual_db", self.interference_residual_db),
+                        ("sinr_gain_db", self.sinr_gain_db)]
+
     def to_text(self) -> str:
-        lines = []
-        for i, err in enumerate(self.target_peak_error_db):
-            lines.append(f"target_peak_error_db_{i} = {err:.6f}")
-        lines.append(f"interference_residual_db = {self.interference_residual_db:.6f}")
-        lines.append(f"sinr_gain_db = {self.sinr_gain_db:.6f}")
+        lines = [f"{name} = {value:.6f}" for name, value in self.metrics()]
         lines.append(f"target_cells = {int(self.target_mask.sum())}")
         lines.append(f"interference_cells = {int(self.interference_mask.sum())}")
         return "\n".join(lines) + "\n"
 
     def to_csv_row(self) -> tuple[str, str]:
         """Header and value line for batch sweeps."""
-        names = [f"target_peak_error_db_{i}" for i in range(len(self.target_peak_error_db))]
-        names += ["interference_residual_db", "sinr_gain_db"]
-        vals = [f"{v:.6f}" for v in self.target_peak_error_db]
-        vals += [f"{self.interference_residual_db:.6f}", f"{self.sinr_gain_db:.6f}"]
-        return ",".join(names), ",".join(vals)
+        metrics = self.metrics()
+        return ",".join(name for name, _ in metrics), ",".join(f"{value:.6f}" for _, value in metrics)
 
 
 def _grid_index(grid, position):
@@ -218,16 +217,14 @@ def suppression_metrics(
     )
     sinr_gain_db = 10.0 * np.log10(sup_sinr / raw_sinr)
 
-    named = [(f"target_peak_error_db_{k}", e) for k, e in enumerate(errors)]
-    named += [("interference_residual_db", residual_db), ("sinr_gain_db", sinr_gain_db)]
-    for name, value in named:
-        if not np.isfinite(value):
-            raise ValueError(f"{name} is not finite ({value})")
-
-    return SuppressionReport(
+    report = SuppressionReport(
         target_peak_error_db=errors,
         interference_residual_db=float(residual_db),
         sinr_gain_db=float(sinr_gain_db),
         target_mask=target_mask,
         interference_mask=interference_mask,
     )
+    for name, value in report.metrics():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is not finite ({value})")
+    return report

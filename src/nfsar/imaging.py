@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Aperture, EchoData, RadarParams
+from .core_model import Aperture, EchoData, RadarParams, _require_finite, _require_positive
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
@@ -73,29 +73,22 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
 def _interpolate(col: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, int]:
     """Linearly interpolate one profile column at fractional bin indices.
 
-    Indices outside [0, len(col) - 1) lie outside the compressed swath and
-    give zero; returns (samples, number of such indices).
+    The swath is the closed interval [0, len(col) - 1]; indices outside it
+    give zero.  Returns (samples, number of such indices).
     """
-    nbins = col.shape[0]
-    valid = (idx >= 0) & (idx < nbins - 1)
-    i0 = np.floor(idx).astype(np.int64)
-    frac = idx - i0
-    # Each temporary is as large as the slab.  numpy already reuses the
-    # product and sum temporaries below for operands of 256 KiB or more;
-    # writing them as explicit in-place steps measured slower and larger.
-    np.clip(i0, 0, nbins - 2, out=i0)
-    samples = np.where(valid, col[i0] * (1.0 - frac) + col[i0 + 1] * frac, 0.0)
-    return samples, int(valid.size - np.count_nonzero(valid))
+    last = col.shape[0] - 1
+    samples = np.interp(idx, np.arange(last + 1), col, left=0.0, right=0.0)
+    return samples, int(np.count_nonzero(idx < 0) + np.count_nonzero(idx > last))
 
 
 def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: float) -> complex:
     """Linearly interpolate one profile at fast time tau [s].
 
-    Delays outside [0, max tau) contribute zero; back-projection counts such
-    out-of-swath voxel contributions.
+    Delays outside the closed swath [0, max tau] contribute zero;
+    back-projection counts such out-of-swath voxel contributions.
     """
     col = profiles.profiles[:, slow_time_index]
-    return complex(_interpolate(col, np.array([tau / profiles.tau_spacing]))[0][0])
+    return complex(_interpolate(col, tau / profiles.tau_spacing)[0])
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,8 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing: must be > 0")
+        _require_finite("start", self.start)
+        _require_positive("spacing", self.spacing)
         if self.count < 1:
             raise ValueError("count: must be >= 1")
 

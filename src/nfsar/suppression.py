@@ -72,11 +72,12 @@ class DecompositionResult:
 
     target and objective_trace belong to the accelerated iteration, one
     trace entry per accepted iterate, in the input's units (an entry that
-    overflows there is inf).  interference is that solution's rank-r part,
-    on the singular subspaces the last thresholding step kept, with its
-    singular values refit to I - X by least squares.  restarts counts the
-    extrapolated steps thrown away; rank_c and nnz_x give, per iteration,
-    the rank of C and the number of nonzero entries of X.
+    overflows there is inf; one that underflows is 0 or subnormal).
+    interference is that solution's rank-r part, on the singular subspaces
+    the last thresholding step kept, with its singular values refit to
+    I - X by least squares.  restarts counts the extrapolated steps thrown
+    away; rank_c and nnz_x give, per iteration, the rank of C and the
+    number of nonzero entries of X.
     """
 
     target: np.ndarray

@@ -42,6 +42,13 @@ class TestRadarParams:
         with pytest.raises(ValueError):
             RadarParams(f0=1e9, delta_f=1e6, num_freq=1)
 
+    @pytest.mark.parametrize("field", ["f0", "delta_f", "c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"f0": 9e9, "delta_f": 1e6, "num_freq": 8, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            RadarParams(**kwargs)
+
 
 class TestAperture:
     def test_positions_azimuth_major(self):
@@ -62,6 +69,27 @@ class TestAperture:
     def test_target_must_be_in_front(self):
         with pytest.raises(ValueError):
             PointTarget(position=(0.0, -1.0, 0.0))
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"azimuth_spacing": float("nan")}, "azimuth_spacing"),
+        ({"azimuth_spacing": float("inf")}, "azimuth_spacing"),
+        ({"height_spacing": float("nan")}, "height_spacing"),
+        ({"origin": (0.0, float("nan"), 0.0)}, "origin"),
+        ({"origin": (float("-inf"), 0.0, 0.0)}, "origin"),
+    ])
+    def test_non_finite_geometry_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            Aperture(kind="planar", azimuth_count=2, height_count=2, **kwargs)
+
+    @pytest.mark.parametrize("position", [(float("nan"), 1.0, 0.0), (0.0, float("inf"), 0.0)])
+    def test_non_finite_target_position_rejected(self, position):
+        with pytest.raises(ValueError, match="^position: must be finite"):
+            PointTarget(position=position)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_interferer_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="^delay_range: must be finite"):
+            Interferer(delay)
 
 
 class TestSynthesizeEcho:

@@ -121,11 +121,29 @@ class TestInterpolateProfile:
 
     def test_on_bin_returns_bin_value(self):
         profiles = self.make_profiles()
-        for i in (0, 100, 2046):
+        for i in (0, 100, 2046, 2047):
             tau = profiles.tau_axis[i]
             assert interpolate_profile(profiles, 0, tau) == pytest.approx(
                 complex(profiles.profiles[i, 0]), abs=1e-12
             )
+
+    def test_kernel_matches_two_tap_formula(self):
+        # the swath is the closed interval [0, nbins - 1]: the last bin is
+        # inside, anything past it or below 0 is zero and counted
+        col = self.make_profiles().profiles[:, 0]
+        nbins = col.size
+        rng = np.random.default_rng(3)
+        idx = np.concatenate([rng.uniform(-2.0, nbins + 1.0, 5000), [0.0, nbins - 2.0, nbins - 1.0]])
+        inside = (idx >= 0) & (idx <= nbins - 1)
+        i0 = np.minimum(np.floor(idx[inside]).astype(np.int64), nbins - 2)
+        frac = idx[inside] - i0
+        expected = np.zeros(idx.size, dtype=np.complex128)
+        expected[inside] = col[i0] * (1.0 - frac) + col[i0 + 1] * frac
+        samples, outside = imaging._interpolate(col, idx)
+        assert outside == idx.size - np.count_nonzero(inside)
+        assert 0 < outside < idx.size
+        assert np.abs(samples - expected).max() <= 1e-15 * np.abs(col).max()
+        assert samples[-3] == col[0] and samples[-1] == col[-1]
 
     def test_midpoint_is_average(self):
         profiles = self.make_profiles()
@@ -171,6 +189,18 @@ class TestInterpolateProfile:
         taus = 2 * 4.5 / C + np.linspace(-1.5, 1.5, 301) / radar.bandwidth
         err = max(abs(interpolate_profile(p16, 0, tau) - exact(tau)) for tau in taus)
         assert err <= 0.01
+
+
+class TestGridAxis:
+    @pytest.mark.parametrize("start, spacing, field", [
+        (float("nan"), 0.025, "start"),
+        (float("-inf"), 0.025, "start"),
+        (0.0, float("nan"), "spacing"),
+        (0.0, float("inf"), "spacing"),
+    ])
+    def test_non_finite_rejected(self, start, spacing, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            GridAxis(start, spacing, 4)
 
 
 class TestBackproject2d:
