@@ -31,17 +31,18 @@ from .core_model import (
     RadarParams,
     Saturation,
     Scene,
+    _require_finite,
     apply_saturation,
     synthesize_echo,
 )
 from .evaluation import background_subtract, suppression_metrics
 from .imaging import (
-    APERTURE_FOR_NDIM,
     AXIS_NAMES,
     ComplexImage,
     GridAxis,
     ImageGrid,
     RangeProfileSet,
+    _require_pairing,
     backproject_2d,
     backproject_3d,
     image_to_db,
@@ -258,12 +259,15 @@ def _parse_grid(obj, path: str) -> ImageGrid:
     for key in d:
         if key not in AXIS_NAMES:
             raise ConfigError(f"{_path_join(path, key)}: unknown configuration field")
-    ndim = max(1, sum(d.get(name) is not None for name in AXIS_NAMES))
+    ndim = sum(d.get(name) is not None for name in AXIS_NAMES)
     for name in AXIS_NAMES[:ndim]:
         if d.get(name) is None:
             raise ConfigError(f"{_path_join(path, name)}: missing required field")
     axes = [_build(GridAxis, d[name], _path_join(path, name)) for name in AXIS_NAMES[:ndim]]
-    return ImageGrid(tuple(axes))
+    try:
+        return ImageGrid(tuple(axes))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_value(annotation: str, value, path: str):
@@ -335,6 +339,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.oversample < 1:
             raise ValueError("oversample: must be >= 1")
+        _require_finite("floor_db", self.floor_db)
         if self.floor_db >= 0:
             raise ValueError("floor_db: must be < 0")
         if self.guard_cells < 0:
@@ -342,11 +347,7 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError("seed: must be >= 0")
         if self.grid is not None:
-            kind = APERTURE_FOR_NDIM.get(self.grid.ndim)
-            if kind is None:
-                raise ValueError("grid: imaging needs a 2D or 3D grid")
-            if self.aperture.kind != kind:
-                raise ValueError(f"grid: {self.grid.ndim}D imaging grid requires a {kind} aperture")
+            _require_pairing(self.grid, self.aperture, "grid: ")
 
     def canonical(self) -> dict:
         """Normalized config content for hashing.
@@ -399,14 +400,11 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
     """Write an 8-bit graymap and a CSV of dB magnitudes.
 
     [floor_db, 0] dB maps linearly onto [0, 255] with half-up rounding.  A
-    3D volume is exported as its maximum projection along height, a 1D
-    profile as a single row.
+    3D volume is exported as its maximum projection along height.
     """
     db = image_to_db(image, floor_db)
     if db.ndim == 3:
         db = db.max(axis=2)
-    elif db.ndim == 1:
-        db = db[None, :]
 
     pixels = np.clip(np.floor(255.0 * (db - floor_db) / (0.0 - floor_db) + 0.5), 0, 255)
     pixels = pixels.astype(np.uint8)

@@ -33,6 +33,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name}: must be finite and > 0")
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise ValueError(f"{name}: must be finite and >= 0")
+
+
 @dataclass
 class RadarParams:
     """Stepped-frequency waveform: pulse m is transmitted at f0 + m*delta_f.
@@ -151,8 +156,7 @@ class Interferer:
 
     def __post_init__(self):
         self.delay_range = float(self.delay_range)
-        if not 0 <= self.delay_range < math.inf:  # also rejects NaN
-            raise ValueError("delay_range: must be finite and >= 0")
+        _require_nonnegative("delay_range", self.delay_range)
         self.amplitude = complex(self.amplitude)
         _require_finite("amplitude", self.amplitude.real, self.amplitude.imag)
 
@@ -166,8 +170,7 @@ class Scene:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma: must be >= 0")
+        _require_nonnegative("noise_sigma", self.noise_sigma)
 
 
 @dataclass
@@ -182,11 +185,13 @@ class Saturation:
         if self.mode not in ("none", "hard_clip", "polynomial"):
             raise ValueError(f"mode: must be 'none', 'hard_clip' or 'polynomial', not {self.mode!r}")
         if self.mode == "hard_clip":
-            if self.threshold is None or self.threshold <= 0:
+            if self.threshold is None:
                 raise ValueError("threshold: must be > 0 in hard_clip mode")
+            _require_positive("threshold", self.threshold)
         if self.mode == "polynomial":
             if self.coefficients is None or len(self.coefficients) == 0:
                 raise ValueError("coefficients: must be non-empty in polynomial mode")
+            _require_finite("coefficients", *self.coefficients)
 
 
 @dataclass

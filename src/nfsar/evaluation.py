@@ -38,10 +38,6 @@ class PeakList:
     def positions(self) -> np.ndarray:
         return np.array([p.position for p in self.peaks])
 
-    @property
-    def magnitudes_db(self) -> np.ndarray:
-        return np.array([p.magnitude_db for p in self.peaks])
-
 
 def peak_detect(
     profile_db,

@@ -20,9 +20,6 @@ from .core_model import Aperture, EchoData, RadarParams, _require_finite, _requi
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
-# The aperture kind back-projection needs for each image rank.
-APERTURE_FOR_NDIM = {2: "linear", 3: "planar"}
-
 
 @dataclass
 class RangeProfileSet:
@@ -109,7 +106,7 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Regular voxel grid: (range,), (range, azimuth) or (range, azimuth, height).
+    """Regular voxel grid: (range, azimuth) or (range, azimuth, height).
 
     The range axis is the world y coordinate, azimuth is x, height is z,
     matching the aperture conventions in core_model.
@@ -118,8 +115,8 @@ class ImageGrid:
     axes: tuple[GridAxis, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 3:
-            raise ValueError("grid must have 1 to 3 axes")
+        if len(self.axes) not in (2, 3):
+            raise ValueError("imaging needs a 2D or 3D grid")
         object.__setattr__(self, "axes", tuple(self.axes))
 
     @property
@@ -136,8 +133,6 @@ class ImageGrid:
 
     @property
     def azimuth(self) -> GridAxis:
-        if self.ndim < 2:
-            raise ValueError("grid has no azimuth axis")
         return self.axes[1]
 
     @property
@@ -149,7 +144,7 @@ class ImageGrid:
 
 @dataclass
 class ComplexImage:
-    """Complex voxel values on an ImageGrid (1D profile, 2D image, 3D volume)."""
+    """Complex voxel values on an ImageGrid (2D image or 3D volume)."""
 
     values: np.ndarray
     grid: ImageGrid
@@ -165,6 +160,13 @@ class ComplexImage:
 # Fewest voxels a thread gets.  Smaller slabs cost more CPU time in thread
 # start-up and per-position overhead than they save in wall time.
 _MIN_VOXELS_PER_THREAD = 16384
+
+
+def _require_pairing(grid: ImageGrid, aperture: Aperture, prefix: str = "") -> None:
+    """A 2D grid is imaged from a linear aperture, a 3D grid from a planar one."""
+    kind = "linear" if grid.ndim == 2 else "planar"
+    if aperture.kind != kind:
+        raise ValueError(f"{prefix}{grid.ndim}D imaging grid requires a {kind} aperture")
 
 
 def _slab_count(shape: tuple[int, ...]) -> int:
@@ -187,12 +189,10 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     the same order whatever the thread count, and the image is the same
     bytes on any number of cores.
     """
-    name = f"backproject_{ndim}d"
     if grid.ndim != ndim:
-        raise ValueError(f"{name} needs a {ndim}D ({', '.join(AXIS_NAMES[:ndim])}) grid")
+        raise ValueError(f"backproject_{ndim}d needs a {ndim}D ({', '.join(AXIS_NAMES[:ndim])}) grid")
     ap = profiles.aperture
-    if ap.kind != APERTURE_FOR_NDIM[ndim]:
-        raise ValueError(f"{name} requires a {APERTURE_FOR_NDIM[ndim]} aperture")
+    _require_pairing(grid, ap)
     # Voxel coordinates as axis vectors that broadcast to the grid: (nr, 1[, 1]),
     # (1, na[, 1]) and (1, 1, nh); a 2D grid takes the aperture's z.
     coords = [ax.values() for ax in grid.axes]
@@ -278,8 +278,9 @@ def backproject_3d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
 
 def image_to_db(image: ComplexImage, floor_db: float = -60.0) -> np.ndarray:
     """Magnitude in dB relative to the image peak, clamped below at floor_db."""
+    _require_finite("floor_db", floor_db)
     if floor_db >= 0:
-        raise ValueError("floor_db must be < 0")
+        raise ValueError("floor_db: must be < 0")
     mag = np.abs(image.values)
     peak = mag.max()
     if peak == 0:

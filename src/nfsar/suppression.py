@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_model import _require_nonnegative, _require_positive
 from .imaging import ComplexImage, ImageGrid
 
 
@@ -56,12 +57,11 @@ class SolverConfig:
             raise ValueError("beta: must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter: must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol: must be > 0")
-        if self.mu is not None and self.mu < 0:
-            raise ValueError("mu: must be >= 0")
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("rho: must be >= 0")
+        _require_positive("tol", self.tol)
+        if self.mu is not None:
+            _require_nonnegative("mu", self.mu)
+        if self.rho is not None:
+            _require_nonnegative("rho", self.rho)
         if not self.auto_weights and (self.mu is None or self.rho is None):
             raise ValueError("auto_weights: mu and rho must both be set when auto_weights is false")
 
@@ -408,8 +408,6 @@ def decompose_image(
     if grid.ndim == 3:
         res = decompose(matricize_3d(image), cfg)
         return dematricize_3d(res.target, grid), dematricize_3d(res.interference, grid), [res]
-    if grid.ndim != 2:
-        raise ValueError("decompose_image expects a 2D image or a 3D volume")
     res = decompose(image.values, cfg)
     return ComplexImage(res.target, grid), ComplexImage(res.interference, grid), [res]
 

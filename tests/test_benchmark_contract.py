@@ -1,10 +1,11 @@
 """The names and texts the benchmark under perfbench/ binds to.
 
 perfbench/ reaches into nfsar by attribute name and parses one warning
-text; these tests load its modules by file path (their main is not run) so
-that renaming a bound name fails here and not only in a traced benchmark run.
+text; these tests load or parse its modules by file path (their main is not
+run) so that renaming a bound name fails here and not only in a benchmark run.
 """
 
+import ast
 import importlib.util
 import os
 import warnings
@@ -31,6 +32,28 @@ def test_every_traced_name_resolves_to_a_callable():
     tracing = load_perfbench("tracing")
     for module, name, _ in tracing.WRAPPED:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("script", ["run", "setup_probe", "tracing", "workloads"])
+def test_every_nfsar_attribute_perfbench_reads_resolves(script):
+    # Parsed, not run: a name the benchmark reads only in a workload's run
+    # or check would otherwise fail only in a benchmark run.
+    tree = ast.parse((PERFBENCH / f"{script}.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names if a.name == "nfsar"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "nfsar":
+            modules.update({a.asname or a.name: f"nfsar.{a.name}" for a in node.names})
+    reads = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert reads
+    missing = [f"{module}.{attr}" for module, attr in sorted(reads)
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 def test_every_stage_has_a_function():

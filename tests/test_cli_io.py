@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -21,8 +22,9 @@ from nfsar.cli_io import (
     run_pipeline,
     write_array,
 )
-from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
-from nfsar.suppression import decompose, decompose_image
+from nfsar.core_model import Saturation, Scene
+from nfsar.imaging import ComplexImage, GridAxis, ImageGrid, image_to_db
+from nfsar.suppression import SolverConfig, decompose, decompose_image
 
 
 def minimal_config():
@@ -163,6 +165,22 @@ class TestLoadConfig:
         path.write_text(json.dumps(cfg))  # writes the NaN / Infinity literals
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
             load_config(path)
+
+    @pytest.mark.parametrize("field, make", [
+        ("noise_sigma", lambda nan: Scene(noise_sigma=nan)),
+        ("threshold", lambda nan: Saturation(mode="hard_clip", threshold=nan)),
+        ("coefficients", lambda nan: Saturation(mode="polynomial", coefficients=[1.0, nan])),
+        ("mu", lambda nan: SolverConfig(mu=nan)),
+        ("rho", lambda nan: SolverConfig(rho=nan)),
+        ("tol", lambda nan: SolverConfig(tol=nan)),
+        ("floor_db", lambda nan: dataclasses.replace(parse_config(minimal_config()), floor_db=nan)),
+        ("floor_db", lambda nan: image_to_db(
+            ComplexImage(np.ones((2, 2)), ImageGrid((GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2)))), nan)),
+    ], ids=["noise_sigma", "threshold", "coefficients", "mu", "rho", "tol", "floor_db", "image_to_db"])
+    def test_api_rejects_nan(self, field, make):
+        # Config files cannot hold NaN (_as_float refuses it); the API must too.
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            make(float("nan"))
 
     @pytest.mark.parametrize("section,key", [
         ("solver", "max_iters"),
@@ -314,12 +332,6 @@ class TestExportDbImage:
         first_row = csv.read_text().splitlines()[0].split(",")
         assert float(first_row[0]) == pytest.approx(0.0)
         assert float(first_row[1]) == pytest.approx(-30.0, abs=1e-5)
-
-    def test_1d_image_exports_single_row(self, tmp_path):
-        img = ComplexImage(np.array([1.0, 0.5, 0.0], dtype=complex),
-                           ImageGrid((GridAxis(0.0, 1.0, 3),)))
-        pgm, _ = export_db_image(img, -40.0, tmp_path / "prof")
-        assert pgm.read_bytes().startswith(b"P5\n3 1\n255\n")
 
     def test_3d_requires_slice(self, tmp_path):
         # A volume is exported as its maximum projection along height.

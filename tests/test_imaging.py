@@ -203,6 +203,13 @@ class TestGridAxis:
             GridAxis(start, spacing, 4)
 
 
+class TestImageGrid:
+    @pytest.mark.parametrize("ndim", [1, 4])
+    def test_only_2d_and_3d_grids(self, ndim):
+        with pytest.raises(ValueError, match="imaging needs a 2D or 3D grid"):
+            ImageGrid(tuple(GridAxis(0.0, 1.0, 5) for _ in range(ndim)))
+
+
 class TestBackproject2d:
     def image_single_target(self, target_pos, spacing=0.025):
         scene = Scene(targets=[PointTarget(target_pos)])
@@ -453,26 +460,25 @@ class TestSlabThreads:
 
 
 class TestImageToDb:
-    def grid(self, n):
-        return ImageGrid((GridAxis(0.0, 1.0, n),))
+    def row(self, values):
+        """A single-row 2D image."""
+        values = np.asarray(values, dtype=complex)[None, :]
+        return ComplexImage(values, ImageGrid((GridAxis(0.0, 1.0, 1), GridAxis(0.0, 1.0, values.shape[1]))))
 
     def test_peak_is_zero_db(self):
-        img = ComplexImage(np.array([1j, 2.0, 0.5]), self.grid(3))
-        db = image_to_db(img, -60.0)
-        assert db[1] == 0.0
+        db = image_to_db(self.row([1j, 2.0, 0.5]), -60.0)
+        assert db[0, 1] == 0.0
 
     def test_half_magnitude_is_minus_six_db(self):
-        img = ComplexImage(np.array([1.0, 0.5]), self.grid(2))
-        db = image_to_db(img, -60.0)
-        assert db[1] == pytest.approx(-6.0205999, abs=1e-5)
+        db = image_to_db(self.row([1.0, 0.5]), -60.0)
+        assert db[0, 1] == pytest.approx(-6.0205999, abs=1e-5)
 
     def test_all_zero_maps_to_floor(self):
-        img = ComplexImage(np.zeros(4, dtype=complex), self.grid(4))
-        assert np.all(image_to_db(img, -60.0) == -60.0)
+        assert np.all(image_to_db(self.row(np.zeros(4)), -60.0) == -60.0)
 
     def test_floor_clamps_and_validates(self):
-        img = ComplexImage(np.array([1.0, 1e-9]), self.grid(2))
+        img = self.row([1.0, 1e-9])
         db = image_to_db(img, -60.0)
-        assert db[1] == -60.0
+        assert db[0, 1] == -60.0
         with pytest.raises(ValueError):
             image_to_db(img, 0.0)

@@ -697,9 +697,6 @@ class TestDecomposeImage:
             assert res.objective_trace == ref.objective_trace
 
     def test_other_ranks_rejected(self):
-        profile = ComplexImage(np.ones(5, dtype=complex), ImageGrid((GridAxis(0.0, 1.0, 5),)))
-        with pytest.raises(ValueError, match="2D image or a 3D volume"):
-            decompose_image(profile, self.cfg)
         with pytest.raises(ValueError, match="3D volume"):
             decompose_volume(ComplexImage(np.ones((3, 3), dtype=complex),
                                           ImageGrid((GridAxis(0.0, 1.0, 3), GridAxis(0.0, 1.0, 3)))))
