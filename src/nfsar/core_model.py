@@ -334,15 +334,16 @@ def fit_clipper_polynomial(
     fit domain, so magnitudes mapped through the polynomial match the hard
     clip to within it anywhere in the domain.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    _require_positive("threshold", threshold)
     if order < 1:
         raise ValueError("order must be >= 1")
     if sample_count <= order:
         raise ValueError("sample_count must exceed order")
-    domain = 2.0 * threshold if fit_max is None else float(fit_max)
-    if domain <= 0:
-        raise ValueError("fit_max must be > 0")
+    if fit_max is None:
+        domain = 2.0 * threshold
+    else:
+        _require_positive("fit_max", fit_max)
+        domain = float(fit_max)
 
     t = np.linspace(0.0, domain, sample_count)
     target = np.minimum(t, threshold)

@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core_model import _require_positive
 from .imaging import ComplexImage
 
 
@@ -51,8 +52,7 @@ def peak_detect(
     the stronger one.  Positions are cell indices, or axis values when an
     axis array is given; the separation is always in cells.
     """
-    if min_prominence_db <= 0:
-        raise ValueError("min_prominence_db must be > 0")
+    _require_positive("min_prominence_db", min_prominence_db)
     v = np.asarray(profile_db, dtype=float).ravel()
     if axis is not None:
         axis = np.asarray(axis, dtype=float).ravel()

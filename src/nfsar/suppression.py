@@ -13,11 +13,12 @@ gradient with step 1 on C alone: the objective in C is rho*||C||_* plus the
 Moreau envelope of mu*||.||_1 at I - C, whose gradient is 1-Lipschitz.  The
 solver therefore accelerates it as FISTA does (Beck & Teboulle): each step
 starts from C extrapolated along its last move, with the momentum weight of
-the t_k sequence.  A step whose objective exceeds the previous one is thrown
-away, the momentum is reset, and the plain step is taken from the current
-iterates instead (a monotone restart, after Beck & Teboulle's MFISTA and
-O'Donoghue & Candes' adaptive restart).  The plain step never raises the
-objective, so the trace never increases.
+the t_k sequence.  A step whose objective exceeds the previous one by more
+than rounding is thrown away, the momentum is reset, and the plain step is
+taken from the current iterates instead (a monotone restart, after Beck &
+Teboulle's MFISTA and O'Donoghue & Candes' adaptive restart).  The plain
+step never raises the objective, so the trace never increases by more than
+rounding.
 
 The convex problem selects the model and least squares estimates it: X and
 the objective trace are those of the iteration, while the returned C keeps
@@ -100,6 +101,8 @@ def objective(interfered, target, interference, mu: float, rho: float) -> float:
     c_mat = np.asarray(interference)
     if not (i_mat.shape == x_mat.shape == c_mat.shape):
         raise ValueError("objective requires matching matrix dimensions")
+    _require_nonnegative("mu", mu)
+    _require_nonnegative("rho", rho)
     return _objective_value(i_mat, x_mat, c_mat, mu, rho, np.sum(np.linalg.svd(c_mat, compute_uv=False)))
 
 
@@ -112,8 +115,7 @@ def _objective_value(i_mat, x, c, mu: float, rho: float, nuclear: float) -> floa
 
 def soft_threshold_entries(matrix, threshold: float) -> np.ndarray:
     """Complex entrywise shrinkage v -> (v/|v|) * max(|v| - threshold, 0)."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    _require_nonnegative("threshold", threshold)
     m = np.asarray(matrix, dtype=np.complex128)
     mag = np.abs(m)
     keep = mag > threshold
@@ -135,6 +137,7 @@ def update_target(target_prev, interference_prev, interfered, alpha: float, mu: 
     i_mat = np.asarray(interfered)
     if not (x.shape == c.shape == i_mat.shape):
         raise ValueError("update_target requires matching matrix dimensions")
+    _require_nonnegative("mu", mu)
     return soft_threshold_entries(x + alpha * (i_mat - c - x), alpha * mu)
 
 
@@ -144,8 +147,7 @@ def singular_value_threshold(matrix, threshold: float) -> np.ndarray:
     Replaces each singular value s with max(s - threshold, 0) and
     reconstructs; this is the proximal map of the nuclear norm.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    _require_nonnegative("threshold", threshold)
     return _svt(np.asarray(matrix, dtype=np.complex128), threshold)[0]
 
 
@@ -250,16 +252,26 @@ def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.nda
     return out
 
 
+# An extrapolated step is thrown away only when its objective exceeds the
+# previous one by more than this many ulps of it.  Once the iteration
+# stalls, successive objectives differ by rounding alone (up to 8 ulps on
+# 12x40 to 40x12 matrices), and restarting on that noise only costs a second
+# factorization per step.  The restarts of the benchmark scenes, the last at
+# 11 ulps, are all kept.
+_RESTART_ULPS = 8
+
+
 def decompose(interfered, config: SolverConfig | None = None) -> DecompositionResult:
     """Run the accelerated proximal iteration from X = C = 0.
 
     Each iteration extrapolates Y = C + ((t_{k-1} - 1)/t_k)(C - C_prev),
     with t_0 = 1 and t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2, then takes
     X = update_target(X, Y, I, alpha, mu) and C = SVT(Y + beta(I - Y - X),
-    beta*rho).  If that step's objective exceeds the previous iterate's, it
-    is discarded, t_k is reset to 1 and the plain step from the current X
-    and C is taken instead; the plain step does not raise the objective at
-    any step sizes in (0, 1], so the trace is non-increasing.
+    beta*rho).  If that step's objective exceeds the previous iterate's by
+    more than _RESTART_ULPS ulps of it, it is discarded, t_k is reset to 1
+    and the plain step from the current X and C is taken instead; the plain
+    step does not raise the objective at any step sizes in (0, 1], so the
+    trace is non-increasing up to that rounding allowance.
 
     The iteration runs on I divided by the power of two next above its
     largest component, with mu and rho divided alike, which is exact in
@@ -320,7 +332,7 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
         else:
             y = c
         x_new, c_new, s, u, vh, value = step(x, y)
-        if weight and value > trace[-1]:
+        if weight and value > trace[-1] + _RESTART_ULPS * math.ulp(trace[-1]):
             restarts += 1
             t_next = 1.0
             x_new = c_new = None  # free the discarded step and Y before the plain one

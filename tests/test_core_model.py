@@ -239,6 +239,14 @@ class TestFitClipperPolynomial:
         with pytest.raises(ValueError):
             fit_clipper_polynomial(threshold=1.0, order=5, sample_count=5)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"threshold": float("nan")}, "threshold"),
+        ({"fit_max": float("nan")}, "fit_max"),
+    ])
+    def test_nan_rejected_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            fit_clipper_polynomial(**{"threshold": 1.0, "order": 3, "sample_count": 50, **kwargs})
+
     def test_polynomial_consistency_with_hard_clip(self):
         # magnitudes mapped through the fit match the clipped magnitudes
         # within the reported residual, inside the fitted domain

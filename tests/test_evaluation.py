@@ -75,6 +75,10 @@ class TestPeakDetect:
         with pytest.raises(ValueError):
             peak_detect(v, 10.0, 1, axis=axis[:-1])
 
+    def test_nan_prominence_rejected(self):
+        with pytest.raises(ValueError, match="^min_prominence_db: must be finite"):
+            peak_detect(np.array([-30.0, 0.0, -30.0]), float("nan"), 1)
+
 
 class TestCombSpacing:
     def test_exact_comb(self):

@@ -237,6 +237,19 @@ class TestBackproject2d:
         assert abs(expected) > 0.1
         assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_carrier_at_far_range_matches_the_full_phase(self):
+        # About 5,700 rad of carrier phase, from which back-projection drops
+        # the whole turns before cos and sin; 7.8125 MHz steps give a 19.2 m
+        # unambiguous range.
+        radar = RadarParams(f0=9e9, delta_f=7.8125e6, num_freq=384)
+        r = 15.0123
+        scene = Scene(targets=[PointTarget((0.0, 15.0, 0.0))])
+        profiles = range_compress(synthesize_echo(radar, one_position(), scene), 8)
+        value = backproject_2d(profiles, grid2d(r, 1, 0.0, 1)).values[0, 0]
+        expected = interpolate_profile(profiles, 0, 2 * r / C) * np.exp(4j * np.pi * radar.f0 * r / C)
+        assert abs(expected) > 0.1
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_two_equal_targets_balanced(self):
         scene = Scene(targets=[PointTarget((0.0, 2.9, 0.0)), PointTarget((0.0, 3.2, 0.0))])
         profiles = range_compress(synthesize_echo(RADAR, linear_aperture(), scene), 8)

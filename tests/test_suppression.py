@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,21 @@ class TestObjective:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             objective(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), 1.0, 1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda m: soft_threshold_entries(m, NAN), "threshold"),
+    (lambda m: singular_value_threshold(m, NAN), "threshold"),
+    (lambda m: update_target(m, m, m, 1.0, NAN), "mu"),
+    (lambda m: objective(m, m, m, NAN, 1.0), "mu"),
+    (lambda m: objective(m, m, m, 1.0, NAN), "rho"),
+], ids=["soft_threshold_entries", "singular_value_threshold", "update_target", "objective-mu", "objective-rho"])
+def test_nan_weight_rejected_naming_the_field(call, field):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        call(np.ones((2, 3), dtype=complex))
 
 
 class TestSoftThreshold:
@@ -513,6 +530,19 @@ class TestDecompose:
         assert res.rank_c == ranks
         assert res.nnz_x == nnz
         assert len(res.rank_c) == len(res.nnz_x) == len(res.objective_trace) == n_iter
+
+    def test_rounding_noise_at_a_stalled_objective_is_no_restart(self):
+        # Past about iteration 50 the objective stalls and successive values
+        # differ by a few ulps either way.  The hand-run loop restarts on
+        # every such rise; decompose does not restart more often than it.
+        rng = np.random.default_rng(27)
+        i = low_rank_plus_spikes(rng, (12, 40))
+        mu, rho, n_iter = 0.1, 1.0, 60
+        res = decompose(i, SolverConfig(mu=mu, rho=rho, auto_weights=False, max_iter=n_iter, tol=1e-300))
+        _, _, _, restarts, _, _ = accelerated_reference(i, mu, rho, 1.0, n_iter)
+        assert res.restarts <= restarts
+        trace = res.objective_trace
+        assert all(b <= a + 8 * math.ulp(a) for a, b in zip(trace, trace[1:]))
 
     def test_solution_is_the_long_plain_runs(self):
         rng = np.random.default_rng(28)
