@@ -74,7 +74,8 @@ def _interpolate(col: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, int]:
     give zero.  Returns (samples, number of such indices).
     """
     last = col.shape[0] - 1
-    samples = np.interp(idx, np.arange(last + 1), col, left=0.0, right=0.0)
+    # A float bin axis: np.interp would convert an integer one on every call.
+    samples = np.interp(idx, np.arange(last + 1, dtype=float), col, left=0.0, right=0.0)
     return samples, int(np.count_nonzero(idx < 0) + np.count_nonzero(idx > last))
 
 
@@ -84,6 +85,10 @@ def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: fl
     Delays outside the closed swath [0, max tau] contribute zero;
     back-projection counts such out-of-swath voxel contributions.
     """
+    positions = profiles.profiles.shape[1]
+    if not 0 <= slow_time_index < positions:
+        raise ValueError(f"slow_time_index: must be in [0, {positions})")
+    _require_finite("tau", tau)
     col = profiles.profiles[:, slow_time_index]
     return complex(_interpolate(col, tau / profiles.tau_spacing)[0])
 
@@ -162,6 +167,71 @@ class ComplexImage:
 _MIN_VOXELS_PER_THREAD = 16384
 
 
+def _unit_circle_table(n: int) -> np.ndarray:
+    """exp(2j*pi*k/n) for k in [0, n), n a multiple of 4.
+
+    The sines of the first quadrant are taken in long double and rounded once,
+    from sin below pi/4 and cos above it; the other quadrants and the cosines
+    are the same numbers mirrored, so 0 and +-1 fall on their quadrant points
+    exactly.  Where long double has a 64-bit mantissa (x86), every part is
+    the correctly rounded float64 value for n = 4096.
+    """
+    quarter = n // 4
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.arange(quarter + 1, dtype=np.longdouble)
+    low = k <= quarter / 2
+    quadrant = np.where(low, np.sin(2 * pi * k / n), np.cos(2 * pi * (quarter - k) / n))
+    half = np.concatenate([quadrant, quadrant[-2:0:-1]]).astype(np.float64)  # sin, k in [0, n/2)
+    sin = np.concatenate([half, 0.0 - half])  # 0 - x, not -x: exp(j*pi) has a +0 imaginary part
+    return np.roll(sin, -quarter) + 1j * sin  # cos(2*pi*k/n) = sin(2*pi*(k + n/4)/n)
+
+
+# The carrier exp(2j*pi*u) is looked up at the nearest of _CARRIER_STEPS
+# points per turn and corrected by a short polynomial (_carrier).  A power of
+# two, so that scaling u by it is exact.
+_CARRIER_STEPS = 4096
+_CARRIER_TABLE = _unit_circle_table(_CARRIER_STEPS)
+
+
+def _carrier_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The work buffers _carrier takes for arrays of this shape."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp),
+            np.empty(shape, dtype=np.complex128))
+
+
+def _carrier(dist: np.ndarray, steps_per_metre: float, out: np.ndarray, work: tuple) -> None:
+    """Write exp(2j*pi*u) into out, where u = dist * steps_per_metre / _CARRIER_STEPS.
+
+    work comes from _carrier_work(dist.shape).  With v = dist *
+    steps_per_metre (exactly _CARRIER_STEPS * u), k = rint(v) and
+    x = 2*pi*(v - k) / _CARRIER_STEPS, the carrier is
+    _CARRIER_TABLE[k mod _CARRIER_STEPS] * (cos x + j sin x).  |x| <= pi/4096,
+    where 1 - x^2/2 + x^4/24 and x - x^3/6 miss cos and sin by under 3e-18.
+    Every step is elementwise: rounded multiplies and adds, rint, an integer
+    mask, a gather and one complex product, which numpy forms alike at every
+    offset of an array of two or more elements.  So an element's bits do not
+    depend on where it lies in the array, as they might with libm's cos and
+    sin, and an image is the same bytes whatever its split into slabs.
+    """
+    v, x2, index, poly = work
+    np.multiply(dist, steps_per_metre, out=v)
+    np.rint(v, out=x2)
+    v -= x2  # exact: v and rint(v) are within half a step
+    index[...] = x2
+    index &= _CARRIER_STEPS - 1
+    v *= 2.0 * np.pi / _CARRIER_STEPS  # x
+    np.multiply(v, v, out=x2)
+    np.multiply(x2, -1.0 / 6.0, out=poly.imag)
+    poly.imag += 1.0
+    poly.imag *= v
+    np.multiply(x2, 1.0 / 24.0, out=v)
+    v -= 0.5
+    v *= x2
+    np.add(v, 1.0, out=poly.real)
+    np.take(_CARRIER_TABLE, index, out=out, mode="clip")  # "clip" skips numpy's copy for "raise"
+    out *= poly
+
+
 def _require_pairing(grid: ImageGrid, aperture: Aperture, prefix: str = "") -> None:
     """A 2D grid is imaged from a linear aperture, a 3D grid from a planar one."""
     kind = "linear" if grid.ndim == 2 else "planar"
@@ -204,7 +274,9 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     positions = ap.positions()
     c = profiles.radar.c
     inv_dtau = 1.0 / profiles.tau_spacing
-    turns_per_metre = 2.0 * profiles.radar.f0 / c
+    # The carrier phase 4*pi*f0*R/c in turns is u = 2*f0*R/c; _carrier takes
+    # it in table steps.
+    steps_per_metre = _CARRIER_STEPS * (2.0 * profiles.radar.f0 / c)
     out = np.zeros(grid.shape, dtype=np.complex128)
 
     def slab(lo: int, hi: int) -> int:
@@ -212,22 +284,14 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
         acc = out[lo:hi]
         rows = vox_y[lo:hi]
         # Work buffers, allocated once per slab and rewritten at every position.
-        turns = np.empty(acc.shape)
         carrier = np.empty(acc.shape, dtype=np.complex128)
+        work = _carrier_work(acc.shape)
         oos = 0
         for n, (px, py, pz) in enumerate(positions):
             dist = np.sqrt((vox_x - px) ** 2 + (rows - py) ** 2 + (vox_z - pz) ** 2)
             sample, outside = _interpolate(profiles.profiles[:, n], (2.0 * dist / c) * inv_dtau)
             oos += outside
-            # The carrier phase 4*pi*f0*R/c is about 5,700 rad at 15 m and
-            # 9 GHz, where cos and sin are slow.  It is taken in turns, u =
-            # 2*f0*R/c, and the whole turns are dropped first, so cos and
-            # sin see 2*pi*u with u in [-1/2, 1/2].
-            np.multiply(dist, turns_per_metre, out=turns)
-            turns -= np.rint(turns)
-            turns *= 2.0 * np.pi
-            np.cos(turns, out=carrier.real)
-            np.sin(turns, out=carrier.imag)
+            _carrier(dist, steps_per_metre, carrier, work)
             # Always carrier * sample: a complex product rounds differently
             # with its operand order, and one fixed order keeps every voxel's
             # sum, and so the image, the same bytes at any thread count.

@@ -339,7 +339,9 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             y = c_prev = c
             x_new, c_new, s, u, vh, value = step(x, c)
         t = t_next
-        if not (np.isfinite(x_new).all() and np.isfinite(c_new).all()):
+        # I is scaled to |entries| <= 1, so the objective, which sums ||X||_1
+        # and ||I - C - X||^2, is finite only when X and C are.
+        if not math.isfinite(value):
             raise RuntimeError(f"non-finite iterate at iteration {iterations}")
         trace.append(value)
         rank_c.append(len(s))

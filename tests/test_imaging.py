@@ -157,6 +157,17 @@ class TestInterpolateProfile:
         assert interpolate_profile(profiles, 0, -1e-12) == 0
         assert interpolate_profile(profiles, 0, profiles.tau_axis[-1] + 1e-12) == 0
 
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_slow_time_index_outside_the_aperture_rejected(self, index):
+        profiles = self.make_profiles()  # one position
+        with pytest.raises(ValueError, match=r"^slow_time_index: must be in \[0, 1\)$"):
+            interpolate_profile(profiles, index, profiles.tau_axis[100])
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="^tau: must be finite$"):
+            interpolate_profile(self.make_profiles(), 0, tau)
+
     def test_against_dense_oversample_oracle(self):
         # worst case sits on the mainlobe, where the compression phase ramp
         # rotates ~pi/8 per bin at 8x oversampling; the measured ceiling of
@@ -189,6 +200,39 @@ class TestInterpolateProfile:
         taus = 2 * 4.5 / C + np.linspace(-1.5, 1.5, 301) / radar.bandwidth
         err = max(abs(interpolate_profile(p16, 0, tau) - exact(tau)) for tau in taus)
         assert err <= 0.01
+
+
+def carrier(dist, f0):
+    out = np.empty(dist.shape, dtype=np.complex128)
+    imaging._carrier(dist, imaging._CARRIER_STEPS * (2 * f0 / C), out, imaging._carrier_work(dist.shape))
+    return out
+
+
+class TestCarrier:
+    @pytest.mark.parametrize("f0", [1e9, 9e9, 77e9])
+    def test_matches_a_long_double_reference(self, f0):
+        # Ranges from 0 to past volume3d's 19.2 m unambiguous range; the
+        # reference takes exp(2j*pi*frac(u)) from the same float64 u in long
+        # double.
+        rng = np.random.default_rng(5)
+        dist = np.concatenate([[0.0, 1e-9], rng.uniform(0.0, 25.0, 100_000)])
+        u = (dist * (2 * f0 / C)).astype(np.longdouble)
+        phase = 8 * np.arctan(np.longdouble(1)) * (u - np.rint(u))
+        got = carrier(dist, f0)
+        err = np.hypot((got.real - np.cos(phase)).astype(float), (got.imag - np.sin(phase)).astype(float))
+        assert err.max() <= 1e-15
+        assert got[0] == 1
+        assert imaging._CARRIER_TABLE[:: imaging._CARRIER_STEPS // 4].tolist() == [1, 1j, -1, -1j]
+
+    def test_same_bytes_on_any_slice(self):
+        # Slabs hand back-projection parts of one grid; each voxel's carrier
+        # must not depend on which part it lies in.  Around 256 KiB of
+        # complex128 (16384 elements), with odd offsets and lengths.
+        dist = np.random.default_rng(6).uniform(0.0, 20.0, 40_001)
+        whole = carrier(dist, 9e9)
+        for start, length in [(1, 16383), (3, 16385), (4097, 20001), (7, 33), (16383, 23615)]:
+            part = carrier(dist[start:start + length], 9e9)
+            assert part.tobytes() == whole[start:start + length].tobytes()
 
 
 class TestGridAxis:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nfsar import suppression
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid
 from nfsar.suppression import (
     SolverConfig,
@@ -637,6 +638,19 @@ class TestDecompose:
             SolverConfig(alpha=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        svt = suppression._svt
+
+        def nan_svt(m, threshold):
+            c, s, u, vh = svt(m, threshold)
+            c[0, 0] = np.nan
+            return c, s, u, vh
+
+        monkeypatch.setattr(suppression, "_svt", nan_svt)
+        rng = np.random.default_rng(29)
+        with pytest.raises(RuntimeError, match="^non-finite iterate at iteration 1$"):
+            decompose(low_rank_plus_spikes(rng, (12, 40)), SolverConfig(mu=0.1, rho=1.0, auto_weights=False))
 
 
 def volume_grid(p, q, o):
