@@ -124,11 +124,20 @@ def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -
 
     Samples are stored as interleaved little-endian float32 pairs in C
     order (last axis fastest).  Reading back a complex64 array is bit-exact.
-    Returns the sha256 of the file's bytes.
+    Returns the sha256 of the file's bytes.  An array with a value that is
+    not finite in complex64 (NaN, inf, or beyond float32 range) is refused
+    before the file is opened.
     """
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex64))
+    # A value beyond float32 range casts to inf.  In complex128 a sum of finite
+    # complex64 values cannot overflow, so it is finite exactly when every
+    # value is; unlike isfinite it needs no array-sized temporary.
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex64))
+        finite = np.isfinite(arr.sum(dtype=np.complex128))
     if arr.ndim < 1 or arr.ndim > MAX_DIMS:
         raise ArrayFormatError(f"array rank {arr.ndim} outside supported 1..{MAX_DIMS}")
+    if not finite:
+        raise ArrayFormatError(f"{Path(path).name}: values not finite in complex64")
     if axes is None:
         axes = [(0.0, 1.0)] * arr.ndim
     if len(axes) != arr.ndim:

@@ -7,24 +7,26 @@ An interfered image is split as I ~ X + C by minimizing
 Point-like targets end up in the sparse part X, comb-pattern interference
 (stripes, plates) in the low-rank part C.
 
-One plain step updates X by entrywise complex soft thresholding and then C
-by singular value thresholding.  With unit step sizes it is proximal
-gradient with step 1 on C alone: the objective in C is rho*||C||_* plus the
-Moreau envelope of mu*||.||_1 at I - C, whose gradient is 1-Lipschitz.  The
-solver therefore accelerates it as FISTA does (Beck & Teboulle): each step
-starts from C extrapolated along its last move, with the momentum weight of
-the t_k sequence.  A step whose objective exceeds the previous one by more
-than rounding is thrown away, the momentum is reset, and the plain step is
-taken from the current iterates instead (a monotone restart, after Beck &
+One plain step sets X to the proximal map of mu*||.||_1 at I - C (entrywise
+complex soft thresholding) and then C to the proximal map of rho*||.||_* at
+I - X (singular value thresholding).  That is proximal gradient with step 1
+on C alone: the objective in C is rho*||C||_* plus the Moreau envelope of
+mu*||.||_1 at I - C, whose gradient is 1-Lipschitz.  The solver therefore
+accelerates it as FISTA does (Beck & Teboulle): each step starts from C
+extrapolated along its last move, with the momentum weight of the t_k
+sequence.  A step whose objective exceeds the previous one by more than
+rounding is thrown away, the momentum is reset, and the plain step is
+taken from the current C instead (a monotone restart, after Beck &
 Teboulle's MFISTA and O'Donoghue & Candes' adaptive restart).  The plain
 step never raises the objective, so the trace never increases by more than
 rounding.
 
 The convex problem selects the model and least squares estimates it: X and
-the objective trace are those of the iteration, while the returned C keeps
-the rank and singular subspaces of the last thresholding step and refits
-its singular values to I - X by least squares.  Soft thresholding alone
-would leave every retained singular value biased down by the threshold.
+the objective trace are those of the iteration, while the returned C is the
+rank-r truncated SVD of I - X, r being the rank the last thresholding step
+kept.  On those singular directions it is the least-squares fit of I - X;
+soft thresholding alone would leave every kept singular value biased down
+by the threshold.
 """
 
 from __future__ import annotations
@@ -40,22 +42,16 @@ from .imaging import ComplexImage, ImageGrid
 
 @dataclass
 class SolverConfig:
-    """Weights, step sizes and stopping rule for the decomposition."""
+    """Weights and stopping rule for the decomposition."""
 
     mu: float | None = None  # sparsity weight; None -> derived when auto_weights
     rho: float | None = None  # low-rank weight; None -> derived when auto_weights
-    alpha: float = 1.0  # sparse-step size in (0, 1]
-    beta: float = 1.0  # low-rank-step size in (0, 1]
     max_iter: int = 500
     tol: float = 1e-6  # relative iterate-change stopping threshold
     auto_weights: bool = True
     per_slice_3d: bool = False  # decompose each height slice separately
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha: must lie in (0, 1]")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta: must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter: must be >= 1")
         _require_positive("tol", self.tol)
@@ -74,11 +70,10 @@ class DecompositionResult:
     target and objective_trace belong to the accelerated iteration, one
     trace entry per accepted iterate, in the input's units (an entry that
     overflows there is inf; one that underflows is 0 or subnormal).
-    interference is that solution's rank-r part, on the singular subspaces
-    the last thresholding step kept, with its singular values refit to
-    I - X by least squares.  restarts counts the extrapolated steps thrown
-    away; rank_c and nnz_x give, per iteration, the rank of C and the
-    number of nonzero entries of X.
+    interference is the rank-r truncated SVD of I - X for that X, r being
+    the rank the last thresholding step kept.  restarts counts the
+    extrapolated steps thrown away; rank_c and nnz_x give, per iteration,
+    the rank of C and the number of nonzero entries of X.
     """
 
     target: np.ndarray
@@ -127,18 +122,14 @@ def soft_threshold_entries(matrix, threshold: float) -> np.ndarray:
     return out
 
 
-def update_target(target_prev, interference_prev, interfered, alpha: float, mu: float) -> np.ndarray:
-    """Sparse-part step: shrink X + alpha*(I - C - X) by alpha*mu.
-
-    With alpha = 1 this is the exact proximal map of mu*||.||_1 at I - C.
-    """
-    x = np.asarray(target_prev)
-    c = np.asarray(interference_prev)
+def update_target(interference, interfered, mu: float) -> np.ndarray:
+    """Sparse-part step: the proximal map of mu*||.||_1 at I - C."""
+    c = np.asarray(interference)
     i_mat = np.asarray(interfered)
-    if not (x.shape == c.shape == i_mat.shape):
+    if c.shape != i_mat.shape:
         raise ValueError("update_target requires matching matrix dimensions")
     _require_nonnegative("mu", mu)
-    return soft_threshold_entries(x + alpha * (i_mat - c - x), alpha * mu)
+    return soft_threshold_entries(i_mat - c, mu)
 
 
 def singular_value_threshold(matrix, threshold: float) -> np.ndarray:
@@ -198,32 +189,14 @@ def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ) from exc
 
 
-def update_interference(interference_prev, target_new, interfered, beta: float, rho: float) -> np.ndarray:
-    """Low-rank-part step: singular-value-shrink C + beta*(I - C - X) by beta*rho."""
-    c = np.asarray(interference_prev)
-    x = np.asarray(target_new)
+def update_interference(target, interfered, rho: float) -> np.ndarray:
+    """Low-rank-part step: the proximal map of rho*||.||_* at I - X."""
+    x = np.asarray(target)
     i_mat = np.asarray(interfered)
-    if not (x.shape == c.shape == i_mat.shape):
+    if x.shape != i_mat.shape:
         raise ValueError("update_interference requires matching matrix dimensions")
-    return singular_value_threshold(_interference_step_point(c, x, i_mat, beta), beta * rho)
-
-
-def _interference_step_point(c, x, i_mat, beta: float) -> np.ndarray:
-    """The matrix whose singular values the low-rank step shrinks."""
-    return c + beta * (i_mat - c - x)
-
-
-def _refit_interference(u, vh, x, i_mat) -> np.ndarray:
-    """Least-squares refit of the last low-rank step's output.
-
-    u and vh are the singular vectors that step kept.  Each shrunk singular
-    value is replaced by the least-squares coefficient u_k^H (I - X) v_k of
-    I - X on that direction.  With beta = 1 the coefficients are the
-    unshrunk singular values of I - X.  Returns zero when the step retained
-    nothing.
-    """
-    coeffs = np.sum(u.conj() * ((i_mat - x) @ vh.conj().T), axis=0)
-    return (u * coeffs) @ vh
+    _require_nonnegative("rho", rho)
+    return singular_value_threshold(i_mat - x, rho)
 
 
 def default_params(interfered) -> tuple[float, float]:
@@ -254,10 +227,13 @@ def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.nda
 
 # An extrapolated step is thrown away only when its objective exceeds the
 # previous one by more than this many ulps of it.  Once the iteration
-# stalls, successive objectives differ by rounding alone (up to 8 ulps on
-# 12x40 to 40x12 matrices), and restarting on that noise only costs a second
-# factorization per step.  The restarts of the benchmark scenes, the last at
-# 11 ulps, are all kept.
+# stalls, successive objectives differ by rounding alone, and restarting on
+# that noise only costs a second factorization per step.  At tol=1e-300,
+# iterations 100-400, the largest such rise was 12 ulps on the 105x97
+# benchmark image, 10 on the 41x961 benchmark volume and 10 on 12x40 to
+# 40x12 matrices (8 on most), so some noise still restarts.  The benchmark
+# scenes' restarts at the default tol, the smallest at 12 to 24 ulps, are
+# all kept.
 _RESTART_ULPS = 8
 
 
@@ -266,12 +242,11 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
 
     Each iteration extrapolates Y = C + ((t_{k-1} - 1)/t_k)(C - C_prev),
     with t_0 = 1 and t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2, then takes
-    X = update_target(X, Y, I, alpha, mu) and C = SVT(Y + beta(I - Y - X),
-    beta*rho).  If that step's objective exceeds the previous iterate's by
-    more than _RESTART_ULPS ulps of it, it is discarded, t_k is reset to 1
-    and the plain step from the current X and C is taken instead; the plain
-    step does not raise the objective at any step sizes in (0, 1], so the
-    trace is non-increasing up to that rounding allowance.
+    X = update_target(Y, I, mu) and C = SVT(I - X, rho).  If that step's
+    objective exceeds the previous iterate's by more than _RESTART_ULPS ulps
+    of it, it is discarded, t_k is reset to 1 and the plain step from the
+    current C is taken instead; the plain step does not raise the
+    objective, so the trace is non-increasing up to that rounding allowance.
 
     The iteration runs on I divided by the power of two next above its
     largest component, with mu and rho divided alike, which is exact in
@@ -283,8 +258,9 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     (after an extrapolated step, C must also lie within tol of Y, the point
     the step started from) or after config.max_iter iterations.  The
     returned target and objective trace are the iteration's; the returned
-    interference is the last low-rank step with its retained singular
-    values refit by least squares, and residual_norm is measured against it.
+    interference is the last low-rank step's input I - X truncated to the
+    rank that step kept, with its singular values unshrunk, and
+    residual_norm is measured against it.
     """
     cfg = config if config is not None else SolverConfig()
     i_mat = np.asarray(interfered, dtype=np.complex128)
@@ -303,12 +279,11 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     exponent = math.frexp(peak)[1]
     i_mat = _times_power_of_two(i_mat, -exponent, np.empty_like(i_mat))
     mu_n, rho_n = math.ldexp(mu, -exponent), math.ldexp(rho, -exponent)
-    threshold = cfg.beta * rho_n
 
-    def step(x, c):
-        x_new = update_target(x, c, i_mat, cfg.alpha, mu_n)
-        c_new, s, u, vh = _svt(_interference_step_point(c, x_new, i_mat, cfg.beta), threshold)
-        value = _objective_value(i_mat, x_new, c_new, mu_n, rho_n, np.sum(s - threshold))
+    def step(c):
+        x_new = update_target(c, i_mat, mu_n)
+        c_new, s, u, vh = _svt(i_mat - x_new, rho_n)
+        value = _objective_value(i_mat, x_new, c_new, mu_n, rho_n, np.sum(s - rho_n))
         return x_new, c_new, s, u, vh, value
 
     x = np.zeros_like(i_mat)
@@ -331,13 +306,13 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             y += c
         else:
             y = c
-        x_new, c_new, s, u, vh, value = step(x, y)
+        x_new, c_new, s, u, vh, value = step(y)
         if weight and value > trace[-1] + _RESTART_ULPS * math.ulp(trace[-1]):
             restarts += 1
             t_next = 1.0
             x_new = c_new = None  # free the discarded step and Y before the plain one
             y = c_prev = c
-            x_new, c_new, s, u, vh, value = step(x, c)
+            x_new, c_new, s, u, vh, value = step(c)
         t = t_next
         # I is scaled to |entries| <= 1, so the objective, which sums ||X||_1
         # and ||I - C - X||^2, is finite only when X and C are.
@@ -357,7 +332,7 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             converged = True
             break
 
-    c = _refit_interference(u, vh, x, i_mat)
+    c = (u * s) @ vh
     residual = float(np.linalg.norm(i_mat - x - c))
     with np.errstate(over="ignore"):  # an overflow in input units is inf, left to the caller
         trace_in_units = np.ldexp(np.array(trace), 2 * exponent).tolist()

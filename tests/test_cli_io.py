@@ -56,7 +56,6 @@ class TestLoadConfig:
         path.write_text(json.dumps(minimal_config()))
         cfg = load_config(path)
         assert cfg.oversample == 8
-        assert cfg.solver.alpha == 1.0 and cfg.solver.beta == 1.0
         assert cfg.solver.tol == 1e-6 and cfg.solver.max_iter == 500
         assert cfg.solver.auto_weights
         assert cfg.saturation.mode == "none"
@@ -142,16 +141,16 @@ class TestLoadConfig:
 
     def test_config_hash_pinned(self, tmp_path):
         assert parse_config(minimal_config()).config_hash == (
-            "74deda0a5888fddb92e6edfb72ee75cc8eebce0ba977f5ef02acbee564050a8c"
+            "e37ef2668aea8b6c309b91aff6b7af68446a88cad8d26fc96d11c1c78037e535"
         )
         # output_dir is tmp_path-specific, so a pinned hash shows it is not hashed
         assert parse_config(pipeline_config(tmp_path / "out")).config_hash == (
-            "609436ca238f61e261c3e77105d2d01f07d3df927a8d948f807586ccedc7ab64"
+            "c58897caca58ddd0069c22084c63275749774b2cfb9d3ef59042fe2042557887"
         )
         poly = minimal_config()
         poly["saturation"] = {"mode": "polynomial", "coefficients": [0, 1, 0, -0.1]}
         assert parse_config(poly).config_hash == (
-            "fc738e42f9ba4f3c0592af8052d7d2a879c4feee6994c560395020161dd62ef1"
+            "561ae40d7e2cf99dde745d2dbaaaf02944f2d48119a95c0465adb8b1ff196917"
         )
 
     @pytest.mark.parametrize("section,key,value", [
@@ -184,6 +183,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("solver", "max_iters"),
+        ("solver", "alpha"),
         ("radar", "deltaf"),
         ("grid", "heigth"),
     ])
@@ -196,7 +196,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key,value,expected", [
         ("aperture", "height_count", 0, "aperture.height_count: must be >= 1"),
         ("aperture", "height_count", 2, "aperture.height_count: must be 1"),
-        ("solver", "alpha", 2.0, r"solver.alpha: must lie in \(0, 1\]"),
+        ("solver", "max_iter", 0, "solver.max_iter: must be >= 1"),
         ("scene", "targets", [{"position": [0.0, -1.0, 0.0]}], r"scene.targets\[0\].position: must lie"),
     ])
     def test_range_error_names_field_path(self, section, key, value, expected):
@@ -287,6 +287,19 @@ class TestArrayFormat:
         monkeypatch.setattr(cli_io, "open", FailsAfterHeader, raising=False)
         with pytest.raises(OSError, match="No space left"):
             write_array(path, np.zeros((8, 8), dtype=np.complex64))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.nfsc"]
+
+    @pytest.mark.parametrize("value", [1e39, np.inf, 1j * np.nan], ids=["beyond-float32", "inf", "nan"])
+    def test_non_finite_values_rejected_before_the_file_is_opened(self, tmp_path, value):
+        path = tmp_path / "m.nfsc"
+        write_array(path, np.ones((4, 4), dtype=np.complex64))
+        old = path.read_bytes()
+        data = np.ones((4, 4), dtype=np.complex128)
+        data[1, 2] = value
+        data[2, 1] = -value  # opposite infinities, whose sum is NaN
+        with pytest.raises(ArrayFormatError, match="^m.nfsc: values not finite in complex64$"):
+            write_array(path, data)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.nfsc"]
 
@@ -770,6 +783,19 @@ class TestCli:
         assert "evaluate stage needs at least one target" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert main(["pipeline", "--config", str(path), "--stages", "simulate,compress,image,suppress"]) == 0
+
+    def test_echo_beyond_float32_range_fails_before_it_is_written(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = json.loads(path.read_text())
+        del cfg["saturation"]
+        cfg["scene"]["targets"][0]["amplitude"] = 1e39
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path), "--stages", "simulate,compress,image"]) == 1
+        assert "echo.nfsc: values not finite in complex64" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_floor_db_override_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -283,8 +283,8 @@ class TestBackproject2d:
 
     def test_carrier_at_far_range_matches_the_full_phase(self):
         # About 5,700 rad of carrier phase, from which back-projection drops
-        # the whole turns before cos and sin; 7.8125 MHz steps give a 19.2 m
-        # unambiguous range.
+        # the whole turns before its unit-circle table lookup; 7.8125 MHz
+        # steps give a 19.2 m unambiguous range.
         radar = RadarParams(f0=9e9, delta_f=7.8125e6, num_freq=384)
         r = 15.0123
         scene = Scene(targets=[PointTarget((0.0, 15.0, 0.0))])
