@@ -67,16 +67,30 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
 
 
-def _interpolate(col: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, int]:
+def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Linearly interpolate one profile column at fractional bin indices.
 
-    The swath is the closed interval [0, len(col) - 1]; indices outside it
-    give zero.  Returns (samples, number of such indices).
+    The swath is the closed interval [0, last], last = len(col) - 1; indices
+    outside it give zero.  Returns (samples, number of such indices).
+
+    bins, a float axis of the consecutive bins lo..hi (by default all of
+    them), hands np.interp only col[lo:hi+1].  No index may lie below lo
+    unless lo is 0, nor at or above hi unless hi is last.  Then np.interp
+    takes every sample from the same two bins by the same arithmetic as over
+    the whole column, so to the same bits, and only a side of the swath that
+    the window reaches needs a counting pass.
     """
     last = col.shape[0] - 1
-    # A float bin axis: np.interp would convert an integer one on every call.
-    samples = np.interp(idx, np.arange(last + 1, dtype=float), col, left=0.0, right=0.0)
-    return samples, int(np.count_nonzero(idx < 0) + np.count_nonzero(idx > last))
+    if bins is None:
+        bins = np.arange(last + 1, dtype=float)
+    lo, hi = int(bins[0]), int(bins[-1])
+    samples = np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
+    outside = 0
+    if lo == 0:
+        outside += int(np.count_nonzero(idx < 0))
+    if hi == last:
+        outside += int(np.count_nonzero(idx > last))
+    return samples, outside
 
 
 def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: float) -> complex:
@@ -257,7 +271,10 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     Each slab runs the whole position loop for its rows and accumulates in
     place into its part of the image, so every voxel sums the same terms in
     the same order whatever the thread count, and the image is the same
-    bytes on any number of cores.
+    bytes on any number of cores.  The squared axis offsets for every
+    position and each slab's window of profile bins are computed before the
+    position loop; a position then writes into the slab's buffers, and
+    np.interp's samples are the one slab-sized array it allocates.
     """
     if grid.ndim != ndim:
         raise ValueError(f"backproject_{ndim}d needs a {ndim}D ({', '.join(AXIS_NAMES[:ndim])}) grid")
@@ -274,22 +291,59 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     positions = ap.positions()
     c = profiles.radar.c
     inv_dtau = 1.0 / profiles.tau_spacing
+    last = profiles.profiles.shape[0] - 1
     # The carrier phase 4*pi*f0*R/c in turns is u = 2*f0*R/c; _carrier takes
     # it in table steps.
     steps_per_metre = _CARRIER_STEPS * (2.0 * profiles.radar.f0 / c)
     out = np.zeros(grid.shape, dtype=np.complex128)
 
+    def squares(vox: np.ndarray, axis: int) -> np.ndarray:
+        """(vox - p)**2 for every position p, stacked along a new first axis."""
+        return (vox[np.newaxis] - positions[:, axis].reshape((-1,) + (1,) * ndim)) ** 2
+
+    def extremes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-position min and max of a table from squares()."""
+        flat = table.reshape(len(positions), -1)
+        return flat.min(axis=1), flat.max(axis=1)
+
+    def delay_index(dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Fractional bin of the two-way delay 2*dist/c.  dist / (c/2) is the
+        same rounded quotient as (2*dist) / c: halving c is exact."""
+        idx = np.divide(dist, c / 2.0, out=out)
+        idx *= inv_dtau
+        return idx
+
+    dx2, dz2 = squares(vox_x, 0), squares(vox_z, 2)
+    dx2_ext, dz2_ext = extremes(dx2), extremes(dz2)
+
     def slab(lo: int, hi: int) -> int:
         """Accumulate rows lo:hi of out; returns their out-of-swath count."""
         acc = out[lo:hi]
-        rows = vox_y[lo:hi]
+        dy2 = squares(vox_y[lo:hi], 1)
+        # The slab's delay indices at every position lie between those of
+        # its nearest and farthest voxels: every rounded step below is
+        # monotone, and a grid holds the voxel that takes all three axes'
+        # extremes at once.  So one window of bins serves the whole loop.
+        near, far = (
+            delay_index(np.sqrt((x + y) + z)) for x, y, z in zip(dx2_ext, extremes(dy2), dz2_ext)
+        )
+        first = int(np.clip(np.floor(near.min()), 0, last))
+        final = int(np.clip(np.floor(far.max()) + 1, 0, last))  # above every index unless last
+        bins = np.arange(first, final + 1, dtype=float)
         # Work buffers, allocated once per slab and rewritten at every position.
+        dist = np.empty(acc.shape)
+        # dx**2 + dy**2: in 3D an (rows, azimuth, 1) array; in 2D already the
+        # full slab, so it goes straight into dist.
+        dxy = dist if ndim == 2 else np.empty(acc.shape[:2] + (1,))
+        idx = np.empty(acc.shape)
         carrier = np.empty(acc.shape, dtype=np.complex128)
         work = _carrier_work(acc.shape)
         oos = 0
-        for n, (px, py, pz) in enumerate(positions):
-            dist = np.sqrt((vox_x - px) ** 2 + (rows - py) ** 2 + (vox_z - pz) ** 2)
-            sample, outside = _interpolate(profiles.profiles[:, n], (2.0 * dist / c) * inv_dtau)
+        for n in range(len(positions)):
+            np.add(dx2[n], dy2[n], out=dxy)
+            np.add(dxy, dz2[n], out=dist)
+            np.sqrt(dist, out=dist)
+            sample, outside = _interpolate(profiles.profiles[:, n], delay_index(dist, idx), bins)
             oos += outside
             _carrier(dist, steps_per_metre, carrier, work)
             # Always carrier * sample: a complex product rounds differently

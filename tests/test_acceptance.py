@@ -40,8 +40,6 @@ from nfsar.suppression import (
     decompose,
     matricize_3d,
     singular_value_threshold,
-    update_interference,
-    update_target,
 )
 
 C = 299792458.0

@@ -1,5 +1,7 @@
+import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -496,10 +498,10 @@ class TestSlabThreads:
         self.pretend_cpus(monkeypatch, 2)
         interpolate = imaging._interpolate
 
-        def fails_off_the_main_thread(col, idx):
+        def fails_off_the_main_thread(col, idx, bins):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker slab failed")
-            return interpolate(col, idx)
+            return interpolate(col, idx, bins)
 
         monkeypatch.setattr(imaging, "_interpolate", fails_off_the_main_thread)
         with pytest.raises(RuntimeError, match="worker slab failed"):
@@ -514,6 +516,113 @@ class TestSlabThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert imaging._slab_count((41, 31, 31)) == 2
         assert imaging._slab_count((3, 400, 400)) == 2
+
+
+class TestBackprojectReference:
+    """Every voxel and the out-of-swath count against brute force."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_every_voxel_and_the_out_of_swath_count(self, monkeypatch, ndim, cpus):
+        # Slabs of two or three rows, each with its own window of bins.  The
+        # range axis straddles the swath's far end, so the last slab's window
+        # ends on the last bin while the others end short of it; each
+        # window's first bin holds its slab's nearest voxel.
+        monkeypatch.setattr(imaging, "_MIN_VOXELS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        r_u = RADAR.unambiguous_range
+        scene = Scene(targets=[PointTarget((0.01, r_u - 0.25, 0.0))],
+                      interferers=[Interferer(r_u - 0.15)], noise_sigma=0.05)
+        if ndim == 3:
+            aperture = planar_aperture(count=3, spacing=0.05)
+            grid = ImageGrid((GridAxis(r_u - 0.3, 0.07, 6), GridAxis(-0.06, 0.03, 5),
+                              GridAxis(-0.06, 0.03, 4)))
+            backproject = backproject_3d
+        else:
+            aperture = linear_aperture(count=5, spacing=0.05)
+            grid = grid2d(r_u - 0.3, 9, -0.09, 7, spacing=0.045)
+            backproject = backproject_2d
+        assert imaging._slab_count(grid.shape) == cpus
+        profiles = range_compress(synthesize_echo(RADAR, aperture, scene, seed=2), 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            image = backproject(profiles, grid).values
+
+        positions = aperture.positions()
+        axes = [ax.values() for ax in grid.axes]
+        max_tau = profiles.tau_axis[-1]
+        expected = np.zeros(grid.shape, dtype=np.complex128)
+        beyond = in_last_bin = 0
+        for voxel in np.ndindex(grid.shape):
+            y, x = axes[0][voxel[0]], axes[1][voxel[1]]
+            z = axes[2][voxel[2]] if ndim == 3 else aperture.origin[2]
+            for n, (px, py, pz) in enumerate(positions):
+                r = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
+                tau = 2 * r / C
+                beyond += tau > max_tau
+                in_last_bin += profiles.tau_axis[-2] < tau <= max_tau
+                expected[voxel] += interpolate_profile(profiles, n, tau) * np.exp(4j * np.pi * RADAR.f0 * r / C)
+        expected /= len(positions)
+        assert np.abs(image - expected).max() <= 1e-12 * np.abs(image).max()
+        total = image.size * len(positions)
+        assert 0 < beyond < total and in_last_bin > 0
+        (record,) = caught
+        assert str(record.message) == f"{beyond} of {total} voxel contributions fell outside the swath and were zeroed"
+
+
+class TestPositionLoopMemory:
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_only_the_interpolated_samples_are_allocated_per_position(self, monkeypatch, ndim):
+        # Traced allocations between checkpoints at the entry and exit of
+        # _interpolate and _carrier, in one slab of 48,000 voxels away from
+        # the swath's ends: np.interp's samples are the one full-size array a
+        # position allocates.  Broadcasting adds get numpy's iterator buffers,
+        # at most 8192 elements per operand whatever the grid's size, which
+        # is why the slab holds more than 16,384 voxels.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        scene = Scene(targets=[PointTarget((0.0, 3.0, 0.0))])
+        if ndim == 3:
+            profiles = range_compress(synthesize_echo(RADAR, planar_aperture(count=2), scene), 8)
+            grid = ImageGrid((GridAxis(2.8, 0.02, 12), GridAxis(-0.2, 0.01, 40), GridAxis(-0.2, 0.01, 100)))
+        else:
+            profiles = range_compress(synthesize_echo(RADAR, linear_aperture(count=4), scene), 8)
+            grid = grid2d(2.8, 120, -0.2, 400, spacing=0.003)
+        voxels = int(np.prod(grid.shape))
+        growth: dict[str, list[int]] = {}
+        last = {}
+
+        def checkpoint(name):
+            current, peak = tracemalloc.get_traced_memory()
+            if last:
+                growth.setdefault(f"{last['name']} -> {name}", []).append(peak - last["current"])
+            tracemalloc.reset_peak()
+            last.update(name=name, current=current)
+
+        interpolate, carrier = imaging._interpolate, imaging._carrier
+
+        def traced_interpolate(*args):
+            checkpoint("interpolate")
+            result = interpolate(*args)
+            checkpoint("interpolated")
+            return result
+
+        def traced_carrier(*args):
+            checkpoint("carrier")
+            carrier(*args)
+            checkpoint("carried")
+
+        monkeypatch.setattr(imaging, "_interpolate", traced_interpolate)
+        monkeypatch.setattr(imaging, "_carrier", traced_carrier)
+        tracemalloc.start()
+        try:
+            backproject_3d(profiles, grid) if ndim == 3 else backproject_2d(profiles, grid)
+        finally:
+            tracemalloc.stop()
+        assert set(growth) == {"interpolate -> interpolated", "interpolated -> carrier",
+                               "carrier -> carried", "carried -> interpolate"}
+        samples = 16 * voxels  # complex128
+        assert samples <= max(growth.pop("interpolate -> interpolated")) < samples + voxels
+        assert all(max(g) < 8 * voxels for g in growth.values())  # not one float64 slab array
 
 
 class TestImageToDb:
