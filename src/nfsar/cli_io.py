@@ -119,7 +119,7 @@ def _encoded_sha256(arr: np.ndarray, axes) -> str:
     return digest.hexdigest()
 
 
-def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -> str:
+def write_array(path, data, axes: Sequence[tuple[float, float]]) -> str:
     """Write a complex array with per-axis (start, spacing) metadata.
 
     Samples are stored as interleaved little-endian float32 pairs in C
@@ -138,8 +138,6 @@ def write_array(path, data, axes: Sequence[tuple[float, float]] | None = None) -
         raise ArrayFormatError(f"array rank {arr.ndim} outside supported 1..{MAX_DIMS}")
     if not finite:
         raise ArrayFormatError(f"{Path(path).name}: values not finite in complex64")
-    if axes is None:
-        axes = [(0.0, 1.0)] * arr.ndim
     if len(axes) != arr.ndim:
         raise ArrayFormatError("axes metadata must match array rank")
     with _replacing(path) as fh:
@@ -599,41 +597,25 @@ STAGE_FUNCS = {
 }
 
 
-class _OutputLock:
+@contextlib.contextmanager
+def _output_lock(out: Path):
     """Exclusive lock so two pipelines cannot write one directory.
 
     The lock is an flock held on an open descriptor of <out>/.lock, so the
-    OS releases it when the holding process exits, however it ends; a .lock
-    file left behind by a killed run does not block later runs.
+    OS releases it when the holding process exits, however it ends.  The
+    empty file is never removed: a .lock left by a finished or killed run
+    does not block later runs, and every run locks the same inode.
     """
-
-    def __init__(self, out: Path):
-        self.path = out / ".lock"
-        self.fd = None
-
-    def __enter__(self):
-        while True:
-            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
-                os.close(fd)
-                raise PipelineError(f"output directory is locked by another run ({self.path})") from None
-            # A run releasing the lock unlinks the file first; if that
-            # happened after our open, we hold a lock on an orphan: retry.
-            try:
-                current = os.path.samestat(os.fstat(fd), os.stat(self.path))
-            except FileNotFoundError:
-                current = False
-            if current:
-                self.fd = fd
-                return self
-            os.close(fd)
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        os.close(self.fd)
-        return False
+    path = out / ".lock"
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"output directory is locked by another run ({path})") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _trusted_artifacts(manifest_path: Path, config_hash: str) -> dict:
@@ -676,7 +658,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / MANIFEST_FILE
-    with _OutputLock(out):
+    with _output_lock(out):
         artifacts = _trusted_artifacts(manifest_path, config.config_hash)
         for name in ordered:
             artifacts.update(STAGE_FUNCS[name](config, out, artifacts))

@@ -19,8 +19,8 @@ import numpy as np
 
 C0 = 299792458.0  # free-space propagation speed [m/s]
 
-# Reject echo matrices over ~1 GiB of complex128 unless the caller raises it.
-DEFAULT_MAX_ELEMENTS = 1 << 26
+# Reject echo matrices over ~1 GiB of complex128.
+MAX_ECHO_SAMPLES = 1 << 26
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -219,7 +219,6 @@ def synthesize_echo(
     scene: Scene,
     seed: int = 0,
     max_harmonic_order: int = 1,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> EchoData:
     """Simulate the demodulated echo matrix for a scene.
 
@@ -234,10 +233,10 @@ def synthesize_echo(
     """
     n_slow = aperture.num_positions
     n_total = radar.num_freq * n_slow
-    if n_total > max_elements:
+    if n_total > MAX_ECHO_SAMPLES:
         raise ValueError(
             f"echo matrix {radar.num_freq} x {n_slow} = {n_total} samples exceeds "
-            f"the configured budget of {max_elements} samples"
+            f"the budget of {MAX_ECHO_SAMPLES} samples"
         )
 
     positions = aperture.positions()
@@ -282,8 +281,6 @@ def polynomial_transfer(coefficients: Sequence[float], x):
     out = np.zeros_like(xa, dtype=np.complex128)
     for c in coeffs[::-1]:
         out = out * xa + c
-    if np.isscalar(x) or xa.ndim == 0:
-        return complex(out)
     return out
 
 

@@ -67,22 +67,20 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
 
 
-def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, int]:
     """Linearly interpolate one profile column at fractional bin indices.
 
     The swath is the closed interval [0, last], last = len(col) - 1; indices
     outside it give zero.  Returns (samples, number of such indices).
 
-    bins, a float axis of the consecutive bins lo..hi (by default all of
-    them), hands np.interp only col[lo:hi+1].  No index may lie below lo
-    unless lo is 0, nor at or above hi unless hi is last.  Then np.interp
-    takes every sample from the same two bins by the same arithmetic as over
-    the whole column, so to the same bits, and only a side of the swath that
-    the window reaches needs a counting pass.
+    bins, a float axis of the consecutive bins lo..hi, hands np.interp only
+    col[lo:hi+1].  No index may lie below lo unless lo is 0, nor at or above
+    hi unless hi is last.  Then np.interp takes every sample from the same
+    two bins by the same arithmetic as over the whole column, so to the same
+    bits, and only a side of the swath that the window reaches needs a
+    counting pass.
     """
     last = col.shape[0] - 1
-    if bins is None:
-        bins = np.arange(last + 1, dtype=float)
     lo, hi = int(bins[0]), int(bins[-1])
     samples = np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
     outside = 0
@@ -104,7 +102,7 @@ def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: fl
         raise ValueError(f"slow_time_index: must be in [0, {positions})")
     _require_finite("tau", tau)
     col = profiles.profiles[:, slow_time_index]
-    return complex(_interpolate(col, tau / profiles.tau_spacing)[0])
+    return complex(_interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -351,6 +349,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
             # sum, and so the image, the same bytes at any thread count.
             carrier *= sample
             acc += carrier
+            del sample  # freed before the next position's samples are made
         return oos
 
     threads = _slab_count(grid.shape)

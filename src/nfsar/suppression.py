@@ -174,19 +174,15 @@ def _svt(m: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.nd
             if not wide:  # m = A^H
                 u, vh = vh.conj().T, u.conj().T
             return (u * (s - threshold)) @ vh, s, u, vh
-    u, s, vh = _thin_svd(m)
-    r = int(np.count_nonzero(s > threshold))
-    u, s, vh = u[:, :r], s[:r], vh[:r]
-    return (u * (s - threshold)) @ vh, s, u, vh
-
-
-def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
-        return np.linalg.svd(m, full_matrices=False)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
         ) from exc
+    r = int(np.count_nonzero(s > threshold))
+    u, s, vh = u[:, :r], s[:r], vh[:r]
+    return (u * (s - threshold)) @ vh, s, u, vh
 
 
 def update_interference(target, interfered, rho: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import fcntl
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -219,7 +220,7 @@ class TestLoadConfig:
 class TestArrayFormat:
     def test_single_value_round_trip(self, tmp_path):
         path = tmp_path / "one.nfsc"
-        write_array(path, np.array([[1 + 0j]], dtype=np.complex64))
+        write_array(path, np.array([[1 + 0j]], dtype=np.complex64), [(0.0, 1.0)] * 2)
         data, axes = read_array(path)
         assert data.shape == (1, 1)
         assert data[0, 0] == 1 + 0j
@@ -236,7 +237,7 @@ class TestArrayFormat:
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"
-        write_array(path, np.ones((2, 2), dtype=np.complex64))
+        write_array(path, np.ones((2, 2), dtype=np.complex64), [(0.0, 1.0)] * 2)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -245,7 +246,7 @@ class TestArrayFormat:
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"
-        write_array(path, np.ones((2, 2), dtype=np.complex64))
+        write_array(path, np.ones((2, 2), dtype=np.complex64), [(0.0, 1.0)] * 2)
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
@@ -254,7 +255,7 @@ class TestArrayFormat:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"
-        write_array(path, np.ones((4, 4), dtype=np.complex64))
+        write_array(path, np.ones((4, 4), dtype=np.complex64), [(0.0, 1.0)] * 2)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ArrayFormatError, match="truncated payload"):
@@ -262,7 +263,7 @@ class TestArrayFormat:
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "m.nfsc"
-        write_array(path, np.ones((4, 4), dtype=np.complex64))
+        write_array(path, np.ones((4, 4), dtype=np.complex64), [(0.0, 1.0)] * 2)
         old = path.read_bytes()
 
         class FailsAfterHeader:
@@ -286,26 +287,26 @@ class TestArrayFormat:
 
         monkeypatch.setattr(cli_io, "open", FailsAfterHeader, raising=False)
         with pytest.raises(OSError, match="No space left"):
-            write_array(path, np.zeros((8, 8), dtype=np.complex64))
+            write_array(path, np.zeros((8, 8), dtype=np.complex64), [(0.0, 1.0)] * 2)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.nfsc"]
 
     @pytest.mark.parametrize("value", [1e39, np.inf, 1j * np.nan], ids=["beyond-float32", "inf", "nan"])
     def test_non_finite_values_rejected_before_the_file_is_opened(self, tmp_path, value):
         path = tmp_path / "m.nfsc"
-        write_array(path, np.ones((4, 4), dtype=np.complex64))
+        write_array(path, np.ones((4, 4), dtype=np.complex64), [(0.0, 1.0)] * 2)
         old = path.read_bytes()
         data = np.ones((4, 4), dtype=np.complex128)
         data[1, 2] = value
         data[2, 1] = -value  # opposite infinities, whose sum is NaN
         with pytest.raises(ArrayFormatError, match="^m.nfsc: values not finite in complex64$"):
-            write_array(path, data)
+            write_array(path, data, [(0.0, 1.0)] * 2)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.nfsc"]
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"
-        write_array(path, np.ones((2, 2), dtype=np.complex64))
+        write_array(path, np.ones((2, 2), dtype=np.complex64), [(0.0, 1.0)] * 2)
         raw = bytearray(path.read_bytes())
         raw[8] = 7
         path.write_bytes(bytes(raw))
@@ -314,7 +315,7 @@ class TestArrayFormat:
 
     def test_rank_limit(self, tmp_path):
         with pytest.raises(ArrayFormatError, match="rank"):
-            write_array(tmp_path / "x.nfsc", np.zeros((2, 2, 2, 2, 2), dtype=np.complex64))
+            write_array(tmp_path / "x.nfsc", np.zeros((2, 2, 2, 2, 2), dtype=np.complex64), [(0.0, 1.0)] * 5)
 
     def test_extent_overflow_rejected(self, tmp_path):
         import struct
@@ -557,7 +558,7 @@ class TestPipeline:
             "decomposition.json", "echo.nfsc", "image_raw.nfsc", "image_raw_db.csv", "image_raw_db.pgm",
             "interference.nfsc", "interference_db.csv", "interference_db.pgm", "manifest.json",
             "objective_trace.csv", "profiles.nfsc", "reference.nfsc", "report.csv", "report.txt",
-            "target.nfsc", "target_db.csv", "target_db.pgm",
+            "target.nfsc", "target_db.csv", "target_db.pgm", ".lock",
         ])
 
     def test_unknown_stage_rejected(self, tmp_path):
@@ -574,7 +575,7 @@ class TestPipeline:
             with pytest.raises(PipelineError, match="locked"):
                 run_pipeline(config, stages=["simulate"])
         run_pipeline(config, stages=["simulate"])
-        assert not (out / ".lock").exists()
+        assert (out / ".lock").read_bytes() == b""
 
     def test_stale_lockfile_is_accepted(self, tmp_path):
         out = tmp_path / "out"
@@ -582,7 +583,32 @@ class TestPipeline:
         (out / ".lock").write_text("")  # left behind by a killed run
         run_pipeline(parse_config(pipeline_config(out)), stages=["simulate"])
         assert (out / "echo.nfsc").exists()
-        assert not (out / ".lock").exists()
+        assert (out / ".lock").read_bytes() == b""
+
+    def test_lock_of_a_killed_holder_is_released(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        config = parse_config(pipeline_config(out))
+        holder = (
+            "import sys, time; from pathlib import Path; from nfsar import cli_io\n"
+            "with cli_io._output_lock(Path(sys.argv[1])):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(600)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen([sys.executable, "-c", holder, str(out)], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "held\n"
+            with pytest.raises(PipelineError, match="locked"):
+                run_pipeline(config, stages=["simulate"])
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        run_pipeline(config, stages=["simulate"])
+        assert (out / "echo.nfsc").exists()
 
     def test_non_finite_metric_fails_evaluate(self, tmp_path, capsys, monkeypatch):
         def zero_target(image, config):

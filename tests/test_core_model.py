@@ -140,10 +140,10 @@ class TestSynthesizeEcho:
         assert np.std(np.abs(e1.samples)) < 1.0
 
     def test_memory_budget_rejected_with_sizes(self):
-        radar = small_radar(num_freq=64)
-        ap = Aperture(kind="linear", azimuth_count=64, azimuth_spacing=0.01)
-        with pytest.raises(ValueError, match=r"64 x 64"):
-            synthesize_echo(radar, ap, Scene(), max_elements=1000)
+        radar = small_radar(num_freq=8192)
+        ap = Aperture(kind="linear", azimuth_count=16384, azimuth_spacing=0.01)
+        with pytest.raises(ValueError, match=r"8192 x 16384 = 134217728 samples exceeds the budget of 67108864"):
+            synthesize_echo(radar, ap, Scene())
 
     def test_unambiguous_range_warning(self):
         radar = small_radar()  # unambiguous range ~12.8 m

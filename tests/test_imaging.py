@@ -141,7 +141,7 @@ class TestInterpolateProfile:
         frac = idx[inside] - i0
         expected = np.zeros(idx.size, dtype=np.complex128)
         expected[inside] = col[i0] * (1.0 - frac) + col[i0 + 1] * frac
-        samples, outside = imaging._interpolate(col, idx)
+        samples, outside = imaging._interpolate(col, idx, np.arange(nbins, dtype=float))
         assert outside == idx.size - np.count_nonzero(inside)
         assert 0 < outside < idx.size
         assert np.abs(samples - expected).max() <= 1e-15 * np.abs(col).max()
