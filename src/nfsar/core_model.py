@@ -293,7 +293,7 @@ def apply_saturation(echo: EchoData, sat: Saturation) -> EchoData:
     what turns a constant-delay return into a train of range harmonics.
     """
     x = echo.samples
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if not np.isfinite(x).all():
         raise ValueError("echo contains non-finite samples")
     if sat.mode == "none":
         out = x.copy()

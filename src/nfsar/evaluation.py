@@ -181,6 +181,8 @@ def suppression_metrics(
         raise ValueError("suppression_metrics requires identical grids")
     if len(target_positions) == 0:
         raise ValueError("at least one target position is required")
+    if not isinstance(guard_cells, (int, np.integer)) or guard_cells < 0:
+        raise ValueError(f"guard_cells: must be an integer >= 0, got {guard_cells!r}")
 
     raw_mag = np.abs(raw.values)
     sup_mag = np.abs(suppressed.values)

@@ -144,20 +144,6 @@ class ImageGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.count for ax in self.axes)
 
-    @property
-    def range(self) -> GridAxis:
-        return self.axes[0]
-
-    @property
-    def azimuth(self) -> GridAxis:
-        return self.axes[1]
-
-    @property
-    def height(self) -> GridAxis:
-        if self.ndim < 3:
-            raise ValueError("grid has no height axis")
-        return self.axes[2]
-
 
 @dataclass
 class ComplexImage:
@@ -262,7 +248,7 @@ def _slab_count(shape: tuple[int, ...]) -> int:
     return max(1, min(cpus, shape[0], voxels // _MIN_VOXELS_PER_THREAD))
 
 
-def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> ComplexImage:
+def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     """Back-projection body shared by backproject_2d and backproject_3d.
 
     The grid is cut into contiguous slabs of range rows, one per thread.
@@ -274,18 +260,12 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     position loop; a position then writes into the slab's buffers, and
     np.interp's samples are the one slab-sized array it allocates.
     """
-    if grid.ndim != ndim:
-        raise ValueError(f"backproject_{ndim}d needs a {ndim}D ({', '.join(AXIS_NAMES[:ndim])}) grid")
     ap = profiles.aperture
     _require_pairing(grid, ap)
-    # Voxel coordinates as axis vectors that broadcast to the grid: (nr, 1[, 1]),
-    # (1, na[, 1]) and (1, 1, nh); a 2D grid takes the aperture's z.
-    coords = [ax.values() for ax in grid.axes]
-    if ndim == 2:
-        coords.append(np.array([ap.origin[2]]))
-    vox_y, vox_x, vox_z = (
-        v.reshape([-1 if k == axis else 1 for k in range(ndim)]) for axis, v in enumerate(coords)
-    )
+    # Voxel coordinates as axis vectors that broadcast to (nr, na, nh); a 2D
+    # grid is the one-height case at the aperture's z, dropped from the image.
+    coords = [ax.values() for ax in grid.axes] + [np.array([ap.origin[2]])]
+    vox_y, vox_x, vox_z = np.meshgrid(*coords[:3], indexing="ij", sparse=True)
     positions = ap.positions()
     c = profiles.radar.c
     inv_dtau = 1.0 / profiles.tau_spacing
@@ -293,16 +273,11 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
     # The carrier phase 4*pi*f0*R/c in turns is u = 2*f0*R/c; _carrier takes
     # it in table steps.
     steps_per_metre = _CARRIER_STEPS * (2.0 * profiles.radar.f0 / c)
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.shape + (1,) * (3 - grid.ndim), dtype=np.complex128)
 
     def squares(vox: np.ndarray, axis: int) -> np.ndarray:
         """(vox - p)**2 for every position p, stacked along a new first axis."""
-        return (vox[np.newaxis] - positions[:, axis].reshape((-1,) + (1,) * ndim)) ** 2
-
-    def extremes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-position min and max of a table from squares()."""
-        flat = table.reshape(len(positions), -1)
-        return flat.min(axis=1), flat.max(axis=1)
+        return (vox[np.newaxis] - positions[:, axis].reshape(-1, 1, 1, 1)) ** 2
 
     def delay_index(dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Fractional bin of the two-way delay 2*dist/c.  dist / (c/2) is the
@@ -312,27 +287,22 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
         return idx
 
     dx2, dz2 = squares(vox_x, 0), squares(vox_z, 2)
-    dx2_ext, dz2_ext = extremes(dx2), extremes(dz2)
 
     def slab(lo: int, hi: int) -> int:
         """Accumulate rows lo:hi of out; returns their out-of-swath count."""
         acc = out[lo:hi]
         dy2 = squares(vox_y[lo:hi], 1)
-        # The slab's delay indices at every position lie between those of
-        # its nearest and farthest voxels: every rounded step below is
-        # monotone, and a grid holds the voxel that takes all three axes'
-        # extremes at once.  So one window of bins serves the whole loop.
-        near, far = (
-            delay_index(np.sqrt((x + y) + z)) for x, y, z in zip(dx2_ext, extremes(dy2), dz2_ext)
-        )
-        first = int(np.clip(np.floor(near.min()), 0, last))
-        final = int(np.clip(np.floor(far.max()) + 1, 0, last))  # above every index unless last
+        # Every rounded step below is monotone, and positions and voxels are
+        # both products of their axes, so one voxel-position pair takes all
+        # three tables' extremes at once: one window of bins, from their
+        # overall min and max, serves the whole loop.
+        near, far = (delay_index(np.sqrt((f(dx2) + f(dy2)) + f(dz2))) for f in (np.min, np.max))
+        first = int(np.clip(np.floor(near), 0, last))
+        final = int(np.clip(np.floor(far) + 1, 0, last))  # above every index unless last
         bins = np.arange(first, final + 1, dtype=float)
         # Work buffers, allocated once per slab and rewritten at every position.
         dist = np.empty(acc.shape)
-        # dx**2 + dy**2: in 3D an (rows, azimuth, 1) array; in 2D already the
-        # full slab, so it goes straight into dist.
-        dxy = dist if ndim == 2 else np.empty(acc.shape[:2] + (1,))
+        dxy = np.empty(acc.shape[:2] + (1,))  # dx**2 + dy**2
         idx = np.empty(acc.shape)
         carrier = np.empty(acc.shape, dtype=np.complex128)
         work = _carrier_work(acc.shape)
@@ -384,7 +354,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid, ndim: int) -> Compl
             RuntimeWarning,
             stacklevel=3,
         )
-    return ComplexImage(out / len(positions), grid)
+    return ComplexImage((out / len(positions)).reshape(grid.shape), grid)
 
 
 def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
@@ -394,12 +364,16 @@ def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     the carrier compensation phase exp(+j*4*pi*f0*R/c), normalized by the
     number of scan positions.  Voxels lie in the scan row's height plane.
     """
-    return _backproject(profiles, grid, 2)
+    if grid.ndim != 2:
+        raise ValueError("backproject_2d needs a 2D (range, azimuth) grid")
+    return _backproject(profiles, grid)
 
 
 def backproject_3d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     """Back-project onto a (range, azimuth, height) grid from a planar aperture."""
-    return _backproject(profiles, grid, 3)
+    if grid.ndim != 3:
+        raise ValueError("backproject_3d needs a 3D (range, azimuth, height) grid")
+    return _backproject(profiles, grid)
 
 
 def image_to_db(image: ComplexImage, floor_db: float = -60.0) -> np.ndarray:

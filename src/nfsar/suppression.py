@@ -98,14 +98,15 @@ def objective(interfered, target, interference, mu: float, rho: float) -> float:
         raise ValueError("objective requires matching matrix dimensions")
     _require_nonnegative("mu", mu)
     _require_nonnegative("rho", rho)
-    return _objective_value(i_mat, x_mat, c_mat, mu, rho, np.sum(np.linalg.svd(c_mat, compute_uv=False)))
+    nuclear = np.sum(np.linalg.svd(c_mat, compute_uv=False))
+    return _objective_value(i_mat - c_mat - x_mat, x_mat, mu, rho, nuclear)
 
 
-def _objective_value(i_mat, x, c, mu: float, rho: float, nuclear: float) -> float:
-    """The objective with ||C||_* supplied by the caller."""
-    resid = 0.5 * np.linalg.norm(i_mat - c - x) ** 2
+def _objective_value(resid, x, mu: float, rho: float, nuclear: float) -> float:
+    """The objective given the residual I - C - X, with ||C||_* supplied by the caller."""
+    fit = 0.5 * np.linalg.norm(resid) ** 2
     l1 = np.sum(np.abs(x))
-    return float(resid + rho * nuclear + mu * l1)
+    return float(fit + rho * nuclear + mu * l1)
 
 
 def soft_threshold_entries(matrix, threshold: float) -> np.ndarray:
@@ -262,7 +263,7 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     i_mat = np.asarray(interfered, dtype=np.complex128)
     if i_mat.ndim != 2:
         raise ValueError("decompose expects a 2D matrix; unfold volumes first")
-    if not np.all(np.isfinite(i_mat.real)) or not np.all(np.isfinite(i_mat.imag)):
+    if not np.isfinite(i_mat).all():
         raise ValueError("decompose requires finite input")
 
     mu, rho = cfg.mu, cfg.rho
@@ -278,8 +279,10 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
 
     def step(c):
         x_new = update_target(c, i_mat, mu_n)
-        c_new, s, u, vh = _svt(i_mat - x_new, rho_n)
-        value = _objective_value(i_mat, x_new, c_new, mu_n, rho_n, np.sum(s - rho_n))
+        resid = i_mat - x_new
+        c_new, s, u, vh = _svt(resid, rho_n)
+        resid -= c_new  # I - X - C
+        value = _objective_value(resid, x_new, mu_n, rho_n, np.sum(s - rho_n))
         return x_new, c_new, s, u, vh, value
 
     x = np.zeros_like(i_mat)
@@ -386,7 +389,7 @@ def decompose_image(
     cfg = config if config is not None else SolverConfig()
     grid = image.grid
     if grid.ndim == 3 and cfg.per_slice_3d:
-        results = [decompose(image.values[:, :, o], cfg) for o in range(grid.height.count)]
+        results = [decompose(image.values[:, :, o], cfg) for o in range(grid.shape[2])]
         x_vol = np.stack([r.target for r in results], axis=2)
         c_vol = np.stack([r.interference for r in results], axis=2)
         return ComplexImage(x_vol, grid), ComplexImage(c_vol, grid), results

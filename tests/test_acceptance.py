@@ -141,8 +141,8 @@ def test_criterion_2_focus_accuracy():
         image = backproject_2d(profiles, grid)
         mag = np.abs(image.values)
         p, q = np.unravel_index(np.argmax(mag), mag.shape)
-        assert abs(grid.range.values()[p] - target[1]) <= 0.025
-        assert abs(grid.azimuth.values()[q] - target[0]) <= 0.025
+        assert abs(grid.axes[0].values()[p] - target[1]) <= 0.025
+        assert abs(grid.axes[1].values()[q] - target[0]) <= 0.025
 
         # fine range cut through the target for the -3 dB width
         fine = ImageGrid((GridAxis(4.35, 0.002, 151), GridAxis(0.0, 0.025, 1)))

@@ -245,6 +245,12 @@ class TestSuppressionMetrics:
         with pytest.raises(ValueError, match="outside"):
             suppression_metrics(raw, raw, raw, [(5.0, 9.0, 0.0)])
 
+    @pytest.mark.parametrize("guard_cells", [-1, 2.5])
+    def test_guard_cells_must_be_a_nonnegative_integer(self, guard_cells):
+        raw, targets = self.setup_images()
+        with pytest.raises(ValueError, match="^guard_cells: must be an integer >= 0"):
+            suppression_metrics(raw, raw, raw, targets, guard_cells=guard_cells)
+
     def test_empty_interference_region_rejected(self):
         grid = ImageGrid((GridAxis(0.0, 1.0, 5), GridAxis(0.0, 1.0, 5)))
         vals = np.ones((5, 5), dtype=complex)

@@ -270,8 +270,8 @@ class TestBackproject2d:
         target = (0.004, 3.002, 0.0)
         image, grid = self.image_single_target(target, spacing)
         p, q = np.unravel_index(np.argmax(np.abs(image.values)), image.values.shape)
-        assert abs(grid.range.values()[p] - target[1]) <= spacing
-        assert abs(grid.azimuth.values()[q] - target[0]) <= spacing
+        assert abs(grid.axes[0].values()[p] - target[1]) <= spacing
+        assert abs(grid.axes[1].values()[q] - target[0]) <= spacing
 
     def test_one_voxel_is_the_interpolated_sample_with_carrier_compensation(self):
         # ties the imager to interpolate_profile, which the oracle tests check
@@ -301,7 +301,7 @@ class TestBackproject2d:
         profiles = range_compress(synthesize_echo(RADAR, linear_aperture(), scene), 8)
         grid = grid2d(2.7, 29, -0.2, 17)
         mag = np.abs(backproject_2d(profiles, grid).values)
-        r_vals = grid.range.values()
+        r_vals = grid.axes[0].values()
         peak1 = mag[np.abs(r_vals - 2.9) < 0.1, :].max()
         peak2 = mag[np.abs(r_vals - 3.2) < 0.1, :].max()
         assert abs(20 * np.log10(peak1 / peak2)) < 1.0
@@ -371,6 +371,9 @@ class TestBackproject2d:
         grid3 = ImageGrid((GridAxis(2.8, 0.05, 5), GridAxis(-0.1, 0.05, 5), GridAxis(-0.1, 0.05, 5)))
         with pytest.raises(ValueError, match="2D"):
             backproject_2d(lin, grid3)
+        # planar profiles pair with a 3D grid, so only the rank check refuses them
+        with pytest.raises(ValueError, match=r"^backproject_2d needs a 2D \(range, azimuth\) grid$"):
+            backproject_2d(profiles, grid3)
 
 
 class TestBackproject3d:
@@ -382,9 +385,9 @@ class TestBackproject3d:
                           GridAxis(-0.15, 0.025, 13)))
         image = backproject_3d(profiles, grid)
         p, q, o = np.unravel_index(np.argmax(np.abs(image.values)), image.values.shape)
-        assert abs(grid.range.values()[p] - target[1]) <= 0.025
-        assert abs(grid.azimuth.values()[q] - target[0]) <= 0.025
-        assert abs(grid.height.values()[o] - target[2]) <= 0.025
+        assert abs(grid.axes[0].values()[p] - target[1]) <= 0.025
+        assert abs(grid.axes[1].values()[q] - target[0]) <= 0.025
+        assert abs(grid.axes[2].values()[o] - target[2]) <= 0.025
 
     def test_interference_plate_constant_over_azimuth_height(self):
         # dense aperture, voxels well inside the scan footprint: the plate
@@ -439,6 +442,9 @@ class TestBackproject3d:
         grid3 = ImageGrid((GridAxis(2.8, 0.05, 5), GridAxis(-0.1, 0.05, 5), GridAxis(-0.1, 0.05, 5)))
         with pytest.raises(ValueError, match="planar"):
             backproject_3d(profiles, grid3)
+        # linear profiles pair with a 2D grid, so only the rank check refuses them
+        with pytest.raises(ValueError, match=r"^backproject_3d needs a 3D \(range, azimuth, height\) grid$"):
+            backproject_3d(profiles, grid2d(2.8, 5, -0.05, 5))
 
 
 class TestSlabThreads:
