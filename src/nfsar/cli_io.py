@@ -32,10 +32,11 @@ from .core_model import (
     Saturation,
     Scene,
     _require_finite,
+    _require_nonnegative_int,
     apply_saturation,
     synthesize_echo,
 )
-from .evaluation import background_subtract, suppression_metrics
+from .evaluation import _grid_index, background_subtract, suppression_metrics
 from .imaging import (
     AXIS_NAMES,
     ComplexImage,
@@ -349,10 +350,10 @@ class PipelineConfig:
         _require_finite("floor_db", self.floor_db)
         if self.floor_db >= 0:
             raise ValueError("floor_db: must be < 0")
-        if self.guard_cells < 0:
-            raise ValueError("guard_cells: must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed: must be >= 0")
+        _require_nonnegative_int("guard_cells", self.guard_cells)
+        _require_nonnegative_int("seed", self.seed)
+        if not self.output_dir:
+            raise ValueError("output_dir: must be a non-empty path")
         if self.grid is not None:
             _require_pairing(self.grid, self.aperture, "grid: ")
 
@@ -406,12 +407,11 @@ def load_config(path) -> PipelineConfig:
 def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Path, Path]:
     """Write an 8-bit graymap and a CSV of dB magnitudes.
 
-    [floor_db, 0] dB maps linearly onto [0, 255] with half-up rounding.  A
-    3D volume is exported as its maximum projection along height.
+    [floor_db, 0] dB maps linearly onto [0, 255] with half-up rounding.  An
+    image is exported as its maximum projection along height (a 2D image as is).
     """
     db = image_to_db(image, floor_db)
-    if db.ndim == 3:
-        db = db.max(axis=2)
+    db = db.reshape(*db.shape[:2], -1).max(axis=2)
 
     pixels = np.clip(np.floor(255.0 * (db - floor_db) / (0.0 - floor_db) + 0.5), 0, 255)
     pixels = pixels.astype(np.uint8)
@@ -652,8 +652,14 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     needs_grid = [s for s in ordered if s in ("image", "evaluate")]
     if config.grid is None and needs_grid:
         raise ConfigError(f"grid: required for the {needs_grid[0]} stage")
-    if "evaluate" in ordered and not config.scene.targets:
-        raise PipelineError("evaluate stage needs at least one target in the scene")
+    if "evaluate" in ordered:
+        if not config.scene.targets:
+            raise PipelineError("evaluate stage needs at least one target in the scene")
+        for k, target in enumerate(config.scene.targets):
+            try:
+                _grid_index(config.grid, target.position)  # the rule suppression_metrics applies
+            except ValueError as exc:
+                raise ConfigError(f"scene.targets[{k}].position: {exc}") from exc
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

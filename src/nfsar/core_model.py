@@ -38,6 +38,12 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name}: must be finite and >= 0")
 
 
+def _require_nonnegative_int(name: str, value) -> None:
+    """A Python or numpy integer >= 0; a bool is not taken for 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name}: must be an integer >= 0, got {value!r}")
+
+
 @dataclass
 class RadarParams:
     """Stepped-frequency waveform: pulse m is transmitted at f0 + m*delta_f.
@@ -231,6 +237,7 @@ def synthesize_echo(
     max_harmonic_order scales the unambiguous-range check: harmonic analysis
     up to order k needs k times the largest scene range to stay unambiguous.
     """
+    _require_nonnegative_int("seed", seed)
     n_slow = aperture.num_positions
     n_total = radar.num_freq * n_slow
     if n_total > MAX_ECHO_SAMPLES:
@@ -265,7 +272,7 @@ def synthesize_echo(
     if scene.noise_sigma > 0:
         scale = scene.noise_sigma / np.sqrt(2.0)
         for col in range(n_slow):
-            rng = np.random.default_rng((int(seed), col))
+            rng = np.random.default_rng((seed, col))
             z = rng.standard_normal((radar.num_freq, 2))
             samples[:, col] += scale * (z[:, 0] + 1j * z[:, 1])
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core_model import _require_positive
+from .core_model import _require_nonnegative_int, _require_positive
 from .imaging import ComplexImage
 
 
@@ -145,7 +145,7 @@ def _grid_index(grid, position):
     for ax, coord in zip(grid.axes, coord_for_axis):
         i = int(round((coord - ax.start) / ax.spacing))
         if not (0 <= i < ax.count):
-            raise ValueError(f"target position {tuple(pos)} lies outside the image grid")
+            raise ValueError(f"target position {tuple(pos.tolist())} lies outside the image grid")
         idx.append(i)
     return tuple(idx)
 
@@ -181,8 +181,7 @@ def suppression_metrics(
         raise ValueError("suppression_metrics requires identical grids")
     if len(target_positions) == 0:
         raise ValueError("at least one target position is required")
-    if not isinstance(guard_cells, (int, np.integer)) or guard_cells < 0:
-        raise ValueError(f"guard_cells: must be an integer >= 0, got {guard_cells!r}")
+    _require_nonnegative_int("guard_cells", guard_cells)
 
     raw_mag = np.abs(raw.values)
     sup_mag = np.abs(suppressed.values)

@@ -354,25 +354,21 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
 def matricize_3d(volume: ComplexImage) -> np.ndarray:
     """Unfold a (range, azimuth, height) volume into a range-by-rest matrix.
 
-    Row p holds voxel (p, q, o) at column q + azimuth_count * o.  Plates that
-    are constant over azimuth and height at fixed range unfold to near
-    rank-one matrices, which is what the low-rank penalty exploits.
+    Row p holds voxel (p, q, o) at column q + azimuth_count * o; a 2D image
+    unfolds to itself.  Plates constant over azimuth and height at fixed range
+    unfold to near rank-one matrices, which the low-rank penalty exploits.
     """
-    if volume.grid.ndim != 3:
-        raise ValueError("matricize_3d expects a 3D volume")
-    p, q, o = volume.values.shape
-    return volume.values.transpose(0, 2, 1).reshape(p, q * o)
+    p, q = volume.values.shape[:2]
+    return volume.values.reshape(p, q, -1).transpose(0, 2, 1).reshape(p, -1)
 
 
 def dematricize_3d(matrix, grid: ImageGrid) -> ComplexImage:
-    """Exact inverse of matricize_3d for the given 3D grid."""
-    if grid.ndim != 3:
-        raise ValueError("dematricize_3d expects a 3D grid")
-    p, q, o = grid.shape
+    """Exact inverse of matricize_3d for the given 2D or 3D grid."""
+    p, q = grid.shape[:2]
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (p, q * o):
+    if m.shape != (p, math.prod(grid.shape[1:])):
         raise ValueError(f"matrix shape {m.shape} does not match grid {grid.shape}")
-    return ComplexImage(m.reshape(p, o, q).transpose(0, 2, 1), grid)
+    return ComplexImage(m.reshape(p, -1, q).transpose(0, 2, 1).reshape(grid.shape), grid)
 
 
 def decompose_image(
@@ -381,23 +377,20 @@ def decompose_image(
 ) -> tuple[ComplexImage, ComplexImage, list[DecompositionResult]]:
     """Split a 2D image or a 3D volume into target and interference images.
 
-    A 2D image is decomposed as it is.  A 3D volume is decomposed whole, by
-    its mode-1 unfolding (matricize_3d), or with config.per_slice_3d one
-    height slice at a time.  Returns the two parts on the input's grid and
-    one result per decomposed matrix.
+    The image is decomposed by its unfolding (matricize_3d), whole or, with
+    config.per_slice_3d, one height block of it at a time; a 2D image is the
+    one-height volume either way.  Returns the two parts on the input's grid
+    and one result per decomposed matrix.
     """
     cfg = config if config is not None else SolverConfig()
-    grid = image.grid
-    if grid.ndim == 3 and cfg.per_slice_3d:
-        results = [decompose(image.values[:, :, o], cfg) for o in range(grid.shape[2])]
-        x_vol = np.stack([r.target for r in results], axis=2)
-        c_vol = np.stack([r.interference for r in results], axis=2)
-        return ComplexImage(x_vol, grid), ComplexImage(c_vol, grid), results
-    if grid.ndim == 3:
-        res = decompose(matricize_3d(image), cfg)
-        return dematricize_3d(res.target, grid), dematricize_3d(res.interference, grid), [res]
-    res = decompose(image.values, cfg)
-    return ComplexImage(res.target, grid), ComplexImage(res.interference, grid), [res]
+    unfolded = matricize_3d(image)
+    blocks = unfolded.shape[1] // image.grid.shape[1] if cfg.per_slice_3d else 1
+    results = [decompose(block, cfg) for block in np.hsplit(unfolded, blocks)]
+
+    def refold(parts):  # one block as it is: np.hstack would copy it
+        return dematricize_3d(parts[0] if blocks == 1 else np.hstack(parts), image.grid)
+
+    return refold([r.target for r in results]), refold([r.interference for r in results]), results
 
 
 def decompose_volume(

@@ -101,8 +101,9 @@ def test_swath_warning_count_is_the_same_when_rows_are_split(monkeypatch):
     assert counts[0] == counts[1] and len(counts[0]) == 1 and counts[0][0] > 0
 
 
-@pytest.mark.parametrize("planar, per_slice, calls", [(False, False, 1), (True, False, 1), (True, True, 3)],
-                         ids=["2d", "3d-whole", "3d-per-slice"])
+@pytest.mark.parametrize("planar, per_slice, calls",
+                         [(False, False, 1), (False, True, 1), (True, False, 1), (True, True, 3)],
+                         ids=["2d", "2d-per-slice", "3d-whole", "3d-per-slice"])
 def test_suppress_stage_calls_decompose_through_the_module(tmp_path, monkeypatch, planar, per_slice, calls):
     # perfbench times the solver by rebinding suppression.decompose; a stage
     # that reached the solver another way would leave that span at 0.

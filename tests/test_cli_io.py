@@ -63,6 +63,13 @@ class TestLoadConfig:
         assert cfg.seed == 0
         assert cfg.grid is None
 
+    @pytest.mark.parametrize("field", ["seed", "guard_cells"])
+    @pytest.mark.parametrize("value", [1.5, True, -1])
+    def test_seed_and_guard_cells_must_be_nonnegative_integers(self, tmp_path, field, value):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer >= 0, got {value!r}$"):
+            dataclasses.replace(config, **{field: value})
+
     def test_zero_delta_f_rejected_with_path(self, tmp_path):
         bad = minimal_config()
         bad["radar"]["delta_f"] = 0.0
@@ -760,15 +767,39 @@ class TestCli:
         b, _ = read_array(tmp_path / "out" / "echo.nfsc")
         assert not np.array_equal(a, b)
 
+    def test_empty_output_dir_rejected_before_anything_is_written(self, tmp_path, monkeypatch, capsys):
+        path = self.write_config(tmp_path)
+        json_path = tmp_path / "empty.json"
+        json_path.write_text(json.dumps(dict(json.loads(path.read_text()), output_dir="")))
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for argv in (["simulate", "--config", str(path), "--out", ""], ["simulate", "--config", str(json_path)]):
+            assert main(argv) == 2
+            assert "config error: output_dir: must be a non-empty path" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+    def test_target_outside_the_grid_refused_before_any_stage(self, tmp_path, capsys):
+        cfg = pipeline_config(tmp_path / "out")
+        cfg["scene"]["targets"].append({"position": [0.5, 2.0, 0.0]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert ("config error: scene.targets[1].position: target position (0.5, 2.0, 0.0) "
+                "lies outside the image grid\n") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # Only evaluate places targets on the grid.
+        assert main(["pipeline", "--config", str(path), "--stages", "simulate,compress,image"]) == 0
+
     def test_negative_seed_rejected_at_load(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 2
-        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert "seed: must be an integer >= 0, got -1" in capsys.readouterr().err
         cfg = json.loads(path.read_text())
         cfg["seed"] = -1
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "config error: seed: must be >= 0" in capsys.readouterr().err
+        assert "config error: seed: must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_stage_list_rejected(self, tmp_path, capsys):

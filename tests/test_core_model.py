@@ -97,6 +97,17 @@ class TestSynthesizeEcho:
         echo = synthesize_echo(small_radar(), single_position_aperture(), Scene())
         assert np.all(echo.samples == 0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed: must be an integer >= 0, got {seed!r}$"):
+            synthesize_echo(small_radar(), single_position_aperture(), Scene(noise_sigma=0.1), seed=seed)
+
+    def test_numpy_integer_seed_is_the_python_seed(self):
+        scene = Scene(noise_sigma=0.1)
+        a = synthesize_echo(small_radar(), single_position_aperture(), scene, seed=np.int64(3))
+        b = synthesize_echo(small_radar(), single_position_aperture(), scene, seed=3)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_constant_delay_columns_identical(self):
         ap = Aperture(kind="linear", azimuth_count=5, azimuth_spacing=0.05)
         scene = Scene(interferers=[Interferer(5.0, 1.0)])

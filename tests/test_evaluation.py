@@ -245,7 +245,7 @@ class TestSuppressionMetrics:
         with pytest.raises(ValueError, match="outside"):
             suppression_metrics(raw, raw, raw, [(5.0, 9.0, 0.0)])
 
-    @pytest.mark.parametrize("guard_cells", [-1, 2.5])
+    @pytest.mark.parametrize("guard_cells", [-1, 2.5, True])
     def test_guard_cells_must_be_a_nonnegative_integer(self, guard_cells):
         raw, targets = self.setup_images()
         with pytest.raises(ValueError, match="^guard_cells: must be an integer >= 0"):

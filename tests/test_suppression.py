@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -656,11 +657,17 @@ class TestMatricize:
         sv = np.linalg.svd(matricize_3d(image), compute_uv=False)
         assert sv[1] / sv[0] < 1e-12
 
-    def test_requires_3d(self):
-        img = ComplexImage(np.zeros((2, 2), dtype=complex),
-                           ImageGrid((GridAxis(0, 1, 2), GridAxis(0, 1, 2))))
-        with pytest.raises(ValueError):
-            matricize_3d(img)
+    def test_2d_image_unfolds_to_itself_and_refolds_exactly(self):
+        rng = np.random.default_rng(23)
+        img = ComplexImage(random_complex(rng, (4, 3)), ImageGrid((GridAxis(0, 1, 4), GridAxis(0, 1, 3))))
+        m = matricize_3d(img)
+        assert m.shape == (4, 3) and m.tobytes() == img.values.tobytes()
+        back = dematricize_3d(m, img.grid)
+        assert back.grid == img.grid and back.values.tobytes() == img.values.tobytes()
+
+    def test_refold_checks_the_shape(self):
+        with pytest.raises(ValueError, match="does not match grid"):
+            dematricize_3d(np.zeros((4, 6), dtype=complex), volume_grid(4, 3, 3))
 
 
 class TestDecomposeVolume:
@@ -686,12 +693,14 @@ class TestDecomposeVolume:
 class TestDecomposeImage:
     cfg = SolverConfig(mu=0.3, rho=1.5, auto_weights=False, max_iter=40)
 
-    def test_2d_image_is_decompose(self):
+    @pytest.mark.parametrize("per_slice", [False, True], ids=["whole", "per-slice"])
+    def test_2d_image_is_decompose(self, per_slice):
         rng = np.random.default_rng(31)
         grid = ImageGrid((GridAxis(0.0, 1.0, 9), GridAxis(0.0, 1.0, 6)))
         img = ComplexImage(random_complex(rng, (9, 6)), grid)
-        x, c, (res,) = decompose_image(img, self.cfg)
-        ref = decompose(img.values, self.cfg)
+        cfg = dataclasses.replace(self.cfg, per_slice_3d=per_slice)
+        x, c, (res,) = decompose_image(img, cfg)
+        ref = decompose(img.values, cfg)
         assert x.grid == grid and c.grid == grid
         assert x.values.tobytes() == ref.target.tobytes()
         assert c.values.tobytes() == ref.interference.tobytes()
