@@ -31,8 +31,8 @@ from .core_model import (
     RadarParams,
     Saturation,
     Scene,
-    _require_finite,
-    _require_nonnegative_int,
+    _require_int,
+    _require_real,
     apply_saturation,
     synthesize_echo,
 )
@@ -213,48 +213,6 @@ def _as_dict(value, path: str) -> dict:
     return value
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too large for a float
-        raise ConfigError(f"{path}: expected a finite number")
-    return float(value)
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a boolean")
-    return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string")
-    return value
-
-
-def _as_complex(value, path: str) -> complex:
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_as_float(value, path))
-    raise ConfigError(f"{path}: expected a number or [real, imag] pair")
-
-
-_SCALAR_PARSERS = {
-    "float": _as_float,
-    "int": _as_int,
-    "bool": _as_bool,
-    "str": _as_str,
-    "complex": _as_complex,
-}
-
 _CONFIG_CLASSES = {
     cls.__name__: cls
     for cls in (RadarParams, Aperture, PointTarget, Interferer, Scene, Saturation, SolverConfig)
@@ -279,17 +237,26 @@ def _parse_grid(obj, path: str) -> ImageGrid:
 
 
 def _parse_value(annotation: str, value, path: str):
-    """Parse one JSON value according to a dataclass field's annotation string."""
+    """Parse one JSON value according to a dataclass field's annotation string.
+
+    Only structure is parsed here: objects, lists and the [real, imag] pair.
+    A scalar goes to the dataclass unchanged; its __post_init__ checks it.
+    """
     annotation = annotation.removesuffix(" | None")
-    if annotation in _SCALAR_PARSERS:
-        return _SCALAR_PARSERS[annotation](value, path)
     if annotation == "ImageGrid":
         return _parse_grid(value, path)
     if annotation in _CONFIG_CLASSES:
         return _build(_CONFIG_CLASSES[annotation], value, path)
+    if annotation == "complex" and isinstance(value, list):
+        if len(value) != 2:
+            raise ConfigError(f"{path}: expected a number or [real, imag] pair")
+        try:
+            return complex(*(_require_real(f"{path}[{i}]", part) for i, part in enumerate(value)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     container, _, args = annotation.partition("[")
     if container not in ("list", "tuple", "Sequence"):
-        raise TypeError(f"no config parser for annotation {annotation!r}")
+        return value
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list")
     item = args.rstrip("]").split(",")[0].strip()
@@ -302,8 +269,8 @@ def _build(cls, obj, path: str):
 
     Keys that are not fields of cls are rejected.  A null field takes its
     default; a required field that is absent or null is reported as missing.
-    Range rules live in cls.__post_init__; its ValueError comes back as a
-    ConfigError prefixed with the field path.
+    Each field's type and range rule lives in cls.__post_init__; its
+    ValueError comes back as a ConfigError prefixed with the field path.
     """
     d = _as_dict(obj, path or "config")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -345,15 +312,14 @@ class PipelineConfig:
     guard_cells: int = 3
 
     def __post_init__(self):
-        if self.oversample < 1:
-            raise ValueError("oversample: must be >= 1")
-        _require_finite("floor_db", self.floor_db)
+        self.oversample = _require_int("oversample", self.oversample, 1)
+        self.seed = _require_int("seed", self.seed, 0)
+        if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
+            raise ValueError(f"output_dir: must be a non-empty path, got {self.output_dir!r}")
+        self.floor_db = _require_real("floor_db", self.floor_db)
         if self.floor_db >= 0:
             raise ValueError("floor_db: must be < 0")
-        _require_nonnegative_int("guard_cells", self.guard_cells)
-        _require_nonnegative_int("seed", self.seed)
-        if not self.output_dir:
-            raise ValueError("output_dir: must be a non-empty path")
+        self.guard_cells = _require_int("guard_cells", self.guard_cells, 0)
         if self.grid is not None:
             _require_pairing(self.grid, self.aperture, "grid: ")
 

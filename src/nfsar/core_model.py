@@ -10,6 +10,7 @@ either as a magnitude clip or as a memoryless polynomial transfer function.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,25 +24,64 @@ C0 = 299792458.0  # free-space propagation speed [m/s]
 MAX_ECHO_SAMPLES = 1 << 26
 
 
-def _require_finite(name: str, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
+def _require_real(name: str, value) -> float:
+    """A Python or numpy real that is finite in float64, returned as a float.
+
+    bool, str and None are refused, as are ints too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int too large for a float
+        real = math.inf
+    if not math.isfinite(real):
         raise ValueError(f"{name}: must be finite")
+    return real
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:  # also rejects NaN
+def _require_positive(name: str, value) -> float:
+    value = _require_real(name, value)
+    if not value > 0:
         raise ValueError(f"{name}: must be finite and > 0")
+    return value
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    if not 0 <= value < math.inf:  # also rejects NaN
+def _require_nonnegative(name: str, value) -> float:
+    value = _require_real(name, value)
+    if not value >= 0:
         raise ValueError(f"{name}: must be finite and >= 0")
+    return value
 
 
-def _require_nonnegative_int(name: str, value) -> None:
-    """A Python or numpy integer >= 0; a bool is not taken for 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name}: must be an integer >= 0, got {value!r}")
+def _require_int(name: str, value, minimum: int) -> int:
+    """A Python or numpy integer >= minimum, returned as an int; a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _require_bool(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name}: must be a boolean, got {value!r}")
+    return bool(value)
+
+
+def _require_complex(name: str, value) -> complex:
+    """A Python or numpy real or complex number finite in complex128, returned as a complex."""
+    if not isinstance(value, (complex, np.complexfloating)):
+        return complex(_require_real(name, value))
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name}: must be finite")
+    return value
+
+
+def _require_vector(name: str, values) -> tuple[float, float, float]:
+    values = tuple(_require_real(name, v) for v in values)
+    if len(values) != 3:
+        raise ValueError(f"{name}: must be a 3-vector")
+    return values
 
 
 @dataclass
@@ -61,11 +101,10 @@ class RadarParams:
     c: float = C0
 
     def __post_init__(self):
-        _require_positive("f0", self.f0)
-        _require_positive("delta_f", self.delta_f)
-        if self.num_freq < 2:
-            raise ValueError("num_freq: must be >= 2")
-        _require_positive("c", self.c)
+        self.f0 = _require_positive("f0", self.f0)
+        self.delta_f = _require_positive("delta_f", self.delta_f)
+        self.num_freq = _require_int("num_freq", self.num_freq, 2)
+        self.c = _require_positive("c", self.c)
 
     @property
     def bandwidth(self) -> float:
@@ -99,20 +138,15 @@ class Aperture:
     def __post_init__(self):
         if self.kind not in ("linear", "planar"):
             raise ValueError(f"kind: must be 'linear' or 'planar', not {self.kind!r}")
-        if self.azimuth_count < 1:
-            raise ValueError("azimuth_count: must be >= 1")
-        if self.height_count < 1:
-            raise ValueError("height_count: must be >= 1")
+        self.azimuth_count = _require_int("azimuth_count", self.azimuth_count, 1)
+        self.height_count = _require_int("height_count", self.height_count, 1)
         if self.kind == "linear" and self.height_count != 1:
             raise ValueError("height_count: must be 1 for a linear aperture")
         if self.height_spacing is None:
             self.height_spacing = self.azimuth_spacing
-        _require_positive("azimuth_spacing", self.azimuth_spacing)
-        _require_positive("height_spacing", self.height_spacing)
-        self.origin = tuple(float(v) for v in self.origin)
-        if len(self.origin) != 3:
-            raise ValueError("origin: must be a 3-vector")
-        _require_finite("origin", *self.origin)
+        self.azimuth_spacing = _require_positive("azimuth_spacing", self.azimuth_spacing)
+        self.height_spacing = _require_positive("height_spacing", self.height_spacing)
+        self.origin = _require_vector("origin", self.origin)
 
     @property
     def num_positions(self) -> int:
@@ -139,14 +173,10 @@ class PointTarget:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        self.position = tuple(float(v) for v in self.position)
-        if len(self.position) != 3:
-            raise ValueError("position: must be a 3-vector")
-        _require_finite("position", *self.position)
+        self.position = _require_vector("position", self.position)
         if self.position[1] <= 0:
             raise ValueError("position: must lie in front of the aperture plane (y > 0)")
-        self.amplitude = complex(self.amplitude)
-        _require_finite("amplitude", self.amplitude.real, self.amplitude.imag)
+        self.amplitude = _require_complex("amplitude", self.amplitude)
 
 
 @dataclass
@@ -161,10 +191,8 @@ class Interferer:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        self.delay_range = float(self.delay_range)
-        _require_nonnegative("delay_range", self.delay_range)
-        self.amplitude = complex(self.amplitude)
-        _require_finite("amplitude", self.amplitude.real, self.amplitude.imag)
+        self.delay_range = _require_nonnegative("delay_range", self.delay_range)
+        self.amplitude = _require_complex("amplitude", self.amplitude)
 
 
 @dataclass
@@ -176,7 +204,7 @@ class Scene:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        _require_nonnegative("noise_sigma", self.noise_sigma)
+        self.noise_sigma = _require_nonnegative("noise_sigma", self.noise_sigma)
 
 
 @dataclass
@@ -190,14 +218,16 @@ class Saturation:
     def __post_init__(self):
         if self.mode not in ("none", "hard_clip", "polynomial"):
             raise ValueError(f"mode: must be 'none', 'hard_clip' or 'polynomial', not {self.mode!r}")
-        if self.mode == "hard_clip":
-            if self.threshold is None:
-                raise ValueError("threshold: must be > 0 in hard_clip mode")
-            _require_positive("threshold", self.threshold)
-        if self.mode == "polynomial":
-            if self.coefficients is None or len(self.coefficients) == 0:
-                raise ValueError("coefficients: must be non-empty in polynomial mode")
-            _require_finite("coefficients", *self.coefficients)
+        # A field the mode ignores is still type-checked when set.
+        if self.threshold is not None:
+            check = _require_positive if self.mode == "hard_clip" else _require_real
+            self.threshold = check("threshold", self.threshold)
+        elif self.mode == "hard_clip":
+            raise ValueError("threshold: must be > 0 in hard_clip mode")
+        if self.coefficients is not None:
+            self.coefficients = [_require_real("coefficients", c) for c in self.coefficients]
+        if self.mode == "polynomial" and not self.coefficients:
+            raise ValueError("coefficients: must be non-empty in polynomial mode")
 
 
 @dataclass
@@ -237,7 +267,8 @@ def synthesize_echo(
     max_harmonic_order scales the unambiguous-range check: harmonic analysis
     up to order k needs k times the largest scene range to stay unambiguous.
     """
-    _require_nonnegative_int("seed", seed)
+    _require_int("seed", seed, 0)
+    _require_int("max_harmonic_order", max_harmonic_order, 1)
     n_slow = aperture.num_positions
     n_total = radar.num_freq * n_slow
     if n_total > MAX_ECHO_SAMPLES:
@@ -260,7 +291,7 @@ def synthesize_echo(
         max_range = max(max_range, itf.delay_range)
         samples += itf.amplitude * np.exp(phase_rate * freqs * itf.delay_range)
 
-    if max_range * max(1, max_harmonic_order) >= radar.unambiguous_range:
+    if max_range * max_harmonic_order >= radar.unambiguous_range:
         warnings.warn(
             f"scene range {max_range:.3f} m times harmonic order "
             f"{max_harmonic_order} reaches the unambiguous range "
@@ -339,10 +370,8 @@ def fit_clipper_polynomial(
     clip to within it anywhere in the domain.
     """
     _require_positive("threshold", threshold)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if sample_count <= order:
-        raise ValueError("sample_count must exceed order")
+    _require_int("order", order, 1)
+    _require_int("sample_count", sample_count, order + 1)
     if fit_max is None:
         domain = 2.0 * threshold
     else:
@@ -385,8 +414,7 @@ def predict_harmonic_ranges(
     Only locations are predicted; harmonic amplitudes depend on the transfer
     coefficients and are left to simulation.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    _require_int("max_order", max_order, 1)
     entries: list[tuple[float, str]] = [(0.0, "dc")]
     for r in target_ranges:
         for k in range(1, max_order + 1):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core_model import _require_nonnegative_int, _require_positive
+from .core_model import _require_int, _require_positive
 from .imaging import ComplexImage
 
 
@@ -181,7 +181,7 @@ def suppression_metrics(
         raise ValueError("suppression_metrics requires identical grids")
     if len(target_positions) == 0:
         raise ValueError("at least one target position is required")
-    _require_nonnegative_int("guard_cells", guard_cells)
+    _require_int("guard_cells", guard_cells, 0)
 
     raw_mag = np.abs(raw.values)
     sup_mag = np.abs(suppressed.values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Aperture, EchoData, RadarParams, _require_finite, _require_positive
+from .core_model import Aperture, EchoData, RadarParams, _require_int, _require_positive, _require_real
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
@@ -60,8 +60,7 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     DFT, scaled so a unit-amplitude scatterer gives a unit-magnitude peak at
     the bin nearest tau = 2R/c.  No window is applied.
     """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
+    _require_int("oversample", oversample, 1)
     nbins = oversample * echo.radar.num_freq
     profiles = np.fft.ifft(echo.samples, n=nbins, axis=0) * oversample
     return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
@@ -100,7 +99,7 @@ def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: fl
     positions = profiles.profiles.shape[1]
     if not 0 <= slow_time_index < positions:
         raise ValueError(f"slow_time_index: must be in [0, {positions})")
-    _require_finite("tau", tau)
+    _require_real("tau", tau)
     col = profiles.profiles[:, slow_time_index]
     return complex(_interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float))[0])
 
@@ -112,10 +111,9 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
-        _require_finite("start", self.start)
-        _require_positive("spacing", self.spacing)
-        if self.count < 1:
-            raise ValueError("count: must be >= 1")
+        object.__setattr__(self, "start", _require_real("start", self.start))
+        object.__setattr__(self, "spacing", _require_positive("spacing", self.spacing))
+        object.__setattr__(self, "count", _require_int("count", self.count, 1))
 
     def values(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.count)
@@ -378,7 +376,7 @@ def backproject_3d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
 
 def image_to_db(image: ComplexImage, floor_db: float = -60.0) -> np.ndarray:
     """Magnitude in dB relative to the image peak, clamped below at floor_db."""
-    _require_finite("floor_db", floor_db)
+    _require_real("floor_db", floor_db)
     if floor_db >= 0:
         raise ValueError("floor_db: must be < 0")
     mag = np.abs(image.values)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import _require_nonnegative, _require_positive
+from .core_model import _require_bool, _require_int, _require_nonnegative, _require_positive
 from .imaging import ComplexImage, ImageGrid
 
 
@@ -52,13 +52,14 @@ class SolverConfig:
     per_slice_3d: bool = False  # decompose each height slice separately
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter: must be >= 1")
-        _require_positive("tol", self.tol)
         if self.mu is not None:
-            _require_nonnegative("mu", self.mu)
+            self.mu = _require_nonnegative("mu", self.mu)
         if self.rho is not None:
-            _require_nonnegative("rho", self.rho)
+            self.rho = _require_nonnegative("rho", self.rho)
+        self.max_iter = _require_int("max_iter", self.max_iter, 1)
+        self.tol = _require_positive("tol", self.tol)
+        self.auto_weights = _require_bool("auto_weights", self.auto_weights)
+        self.per_slice_3d = _require_bool("per_slice_3d", self.per_slice_3d)
         if not self.auto_weights and (self.mu is None or self.rho is None):
             raise ValueError("auto_weights: mu and rho must both be set when auto_weights is false")
 

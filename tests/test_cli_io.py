@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import fcntl
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from nfsar.cli_io import (
     run_pipeline,
     write_array,
 )
-from nfsar.core_model import Saturation, Scene
+from nfsar.core_model import Aperture, Interferer, PointTarget, RadarParams, Saturation, Scene
 from nfsar.imaging import ComplexImage, GridAxis, ImageGrid, image_to_db
 from nfsar.suppression import SolverConfig, decompose, decompose_image
 
@@ -170,7 +172,7 @@ class TestLoadConfig:
         cfg[section][key] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))  # writes the NaN / Infinity literals
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be finite"):
             load_config(path)
 
     @pytest.mark.parametrize("field, make", [
@@ -185,7 +187,7 @@ class TestLoadConfig:
             ComplexImage(np.ones((2, 2)), ImageGrid((GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2)))), nan)),
     ], ids=["noise_sigma", "threshold", "coefficients", "mu", "rho", "tol", "floor_db", "image_to_db"])
     def test_api_rejects_nan(self, field, make):
-        # Config files cannot hold NaN (_as_float refuses it); the API must too.
+        # The dataclasses refuse NaN, so a config file and the API share one rule.
         with pytest.raises(ValueError, match=f"^{field}: must be finite"):
             make(float("nan"))
 
@@ -202,9 +204,9 @@ class TestLoadConfig:
             parse_config(cfg)
 
     @pytest.mark.parametrize("section,key,value,expected", [
-        ("aperture", "height_count", 0, "aperture.height_count: must be >= 1"),
+        ("aperture", "height_count", 0, "aperture.height_count: must be an integer >= 1, got 0"),
         ("aperture", "height_count", 2, "aperture.height_count: must be 1"),
-        ("solver", "max_iter", 0, "solver.max_iter: must be >= 1"),
+        ("solver", "max_iter", 0, "solver.max_iter: must be an integer >= 1, got 0"),
         ("scene", "targets", [{"position": [0.0, -1.0, 0.0]}], r"scene.targets\[0\].position: must lie"),
     ])
     def test_range_error_names_field_path(self, section, key, value, expected):
@@ -222,6 +224,170 @@ class TestLoadConfig:
         cfg["radar"]["num_freq"] = None
         with pytest.raises(ConfigError, match="radar.num_freq: missing required field"):
             parse_config(cfg)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+INT_FIELDS = {"num_freq", "azimuth_count", "height_count", "count", "max_iter", "oversample", "seed", "guard_cells"}
+BIG_INT = 10**400  # an integer, but too large for a float
+RADAR = {"f0": 9e9, "delta_f": 1e6, "num_freq": 4}
+
+# (constructor of one bad value, field, kind of the field); None is the default of a "real?" field
+FIELD_RULES = [
+    (lambda v: RadarParams(**{**RADAR, "f0": v}), "f0", "real"),
+    (lambda v: RadarParams(**{**RADAR, "delta_f": v}), "delta_f", "real"),
+    (lambda v: RadarParams(**{**RADAR, "num_freq": v}), "num_freq", "int"),
+    (lambda v: RadarParams(**RADAR, c=v), "c", "real"),
+    (lambda v: Aperture("planar", origin=(0.0, v, 0.0)), "origin", "real"),
+    (lambda v: Aperture("planar", azimuth_count=v), "azimuth_count", "int"),
+    (lambda v: Aperture("planar", azimuth_spacing=v), "azimuth_spacing", "real"),
+    (lambda v: Aperture("planar", height_count=v), "height_count", "int"),
+    (lambda v: Aperture("planar", height_spacing=v), "height_spacing", "real?"),
+    (lambda v: PointTarget((v, 1.0, 0.0)), "position", "real"),
+    (lambda v: PointTarget((0.0, 1.0, 0.0), v), "amplitude", "real"),
+    (lambda v: Interferer(v), "delay_range", "real"),
+    (lambda v: Interferer(1.0, v), "amplitude", "real"),
+    (lambda v: Scene(noise_sigma=v), "noise_sigma", "real"),
+    (lambda v: Saturation("hard_clip", threshold=v), "threshold", "real?"),
+    (lambda v: Saturation("none", threshold=v), "threshold", "real?"),
+    (lambda v: Saturation("polynomial", coefficients=[1.0, v]), "coefficients", "real"),
+    (lambda v: Saturation("none", coefficients=[v]), "coefficients", "real"),
+    (lambda v: GridAxis(v, 1.0, 2), "start", "real"),
+    (lambda v: GridAxis(0.0, v, 2), "spacing", "real"),
+    (lambda v: GridAxis(0.0, 1.0, v), "count", "int"),
+    (lambda v: SolverConfig(mu=v), "mu", "real?"),
+    (lambda v: SolverConfig(rho=v), "rho", "real?"),
+    (lambda v: SolverConfig(max_iter=v), "max_iter", "int"),
+    (lambda v: SolverConfig(tol=v), "tol", "real"),
+    (lambda v: SolverConfig(mu=1.0, rho=1.0, auto_weights=v), "auto_weights", "bool"),
+    (lambda v: SolverConfig(per_slice_3d=v), "per_slice_3d", "bool"),
+    (lambda v: dataclasses.replace(parse_config(minimal_config()), oversample=v), "oversample", "int"),
+    (lambda v: dataclasses.replace(parse_config(minimal_config()), floor_db=v), "floor_db", "real"),
+]
+BAD_VALUES = {
+    "real": [True, "1.5", None, [1.0], BIG_INT],
+    "real?": [True, "1.5", [1.0], BIG_INT],
+    "int": [True, "2", None, 2.5, 2.0, np.float64(2.0)],
+    "bool": ["no", "false", 1, 0, None],
+}
+
+
+def _refusal(field, kind, value):
+    """The message a field's rule gives for a value of the wrong type."""
+    if value is BIG_INT:
+        return f"^{field}: must be finite$"
+    form = {"real": "a real number", "real?": "a real number", "int": r"an integer >= \d+", "bool": "a boolean"}[kind]
+    return f"^{field}: must be {form}, got {re.escape(repr(value))}$"
+
+
+class TestFieldRules:
+    """Each config field's type rule lives in its dataclass: Python callers and JSON files share it."""
+
+    @pytest.mark.parametrize("make, field, kind, value", [
+        pytest.param(make, field, kind, value, id=f"{field}-{value!r:.12}")
+        for make, field, kind in FIELD_RULES
+        for value in BAD_VALUES[kind]
+    ])
+    def test_wrong_type_refused(self, make, field, kind, value):
+        with pytest.raises(ValueError, match=_refusal(field, kind, value)):
+            make(value)
+
+    def test_numpy_scalars_become_python_scalars(self):
+        radar = RadarParams(np.float32(2.5e9), np.float64(1e6), np.int64(4), c=np.int32(3))
+        assert [type(v) for v in (radar.f0, radar.delta_f, radar.num_freq, radar.c)] == [float, float, int, float]
+        assert radar == RadarParams(2.5e9, 1e6, 4, c=3.0)
+        target = PointTarget(np.array([0.0, 1.0, 2.0]), np.complex64(1 - 2j))
+        assert target.position == (0.0, 1.0, 2.0) and type(target.amplitude) is complex
+        solver = SolverConfig(max_iter=np.int16(7), auto_weights=np.bool_(True))
+        assert type(solver.max_iter) is int and solver.auto_weights is True
+
+    @pytest.mark.parametrize("field", ["seed", "guard_cells", "oversample"])
+    def test_numpy_integer_gives_the_python_integer_hash(self, tmp_path, field):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        numpy_value = dataclasses.replace(config, **{field: np.int64(5)})
+        assert type(getattr(numpy_value, field)) is int
+        assert numpy_value.config_hash == dataclasses.replace(config, **{field: 5}).config_hash
+
+    def test_numpy_seed_runs_the_pipeline(self, tmp_path):
+        config = dataclasses.replace(parse_config(pipeline_config(tmp_path / "out")), seed=np.int64(1))
+        manifest = run_pipeline(config, ["simulate"])
+        assert manifest["seed"] == 1
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_bad_oversample_refused_before_anything_is_written(self, tmp_path, value):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"^oversample: must be an integer >= 1, got {value!r}$"):
+            run_pipeline(dataclasses.replace(config, oversample=value))
+        assert not (tmp_path / "out").exists()
+
+    def test_int_in_a_float_field_hashes_as_the_float(self):
+        cfg = minimal_config()
+        cfg["radar"]["num_freq"] = 64
+        as_ints = copy.deepcopy(cfg)
+        as_ints["scene"]["targets"][0]["position"] = [0, 2, 0]
+        as_ints["scene"]["targets"][0]["amplitude"] = 1
+        as_ints["floor_db"] = -60
+        assert parse_config(as_ints).config_hash == parse_config(cfg).config_hash
+        assert RadarParams(9, 1, 4).f0 == 9.0 and type(RadarParams(9, 1, 4).f0) is float
+
+
+def _leaves(obj, path=""):
+    """The dotted path of every scalar in a decoded JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        child = f"{path}[{key}]" if isinstance(obj, list) else f"{path}.{key}".lstrip(".")
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, child)
+        else:
+            yield child
+
+
+def _set(cfg, path, value):
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
+
+
+WRONG_JSON = ["x", True, {}, [1, 2], float("nan"), BIG_INT]
+
+
+def _admits(field, value):
+    """Whether a field's type admits the value (its range rule may still refuse it)."""
+    if isinstance(value, str):
+        return field in ("kind", "mode")
+    if isinstance(value, bool):
+        return field in ("auto_weights", "per_slice_3d")
+    if value is BIG_INT:
+        return field in INT_FIELDS
+    return isinstance(value, list) and field == "amplitude"  # a [real, imag] pair
+
+
+class TestJsonRefusals:
+    @pytest.mark.parametrize("name", ["pipeline2d", "volume3d"])
+    @pytest.mark.parametrize("value", WRONG_JSON, ids=["str", "bool", "object", "list", "nan", "big-int"])
+    def test_wrong_type_refused_naming_the_leaf(self, name, value):
+        base = json.loads((CONFIGS / f"{name}.json").read_text())
+        ignored = {**base, "saturation": {"mode": "none", "threshold": 1.0, "coefficients": [0.0, 1.0]}}
+        cases = [(base, path) for path in _leaves(base)]
+        cases += [(ignored, path) for path in _leaves(ignored) if path.startswith("saturation.")]
+        tried, misses = 0, []
+        for config, path in cases:
+            field_path = re.sub(r"(\[\d+\])+$", "", path)
+            if _admits(field_path.rsplit(".", 1)[-1], value):
+                continue
+            cfg = copy.deepcopy(config)
+            _set(cfg, path, copy.deepcopy(value))
+            tried += 1
+            # json.dumps writes NaN and the big int as literals json.loads reads back
+            try:
+                parse_config(json.loads(json.dumps(cfg)))
+            except ConfigError as exc:
+                if re.match(re.escape(field_path) + r"(\[\d+\])*: ", str(exc)):
+                    continue
+                misses.append((path, str(exc)))
+            else:
+                misses.append((path, "accepted"))
+        assert tried >= 30 and misses == []
 
 
 class TestArrayFormat:

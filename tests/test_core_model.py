@@ -108,6 +108,12 @@ class TestSynthesizeEcho:
         b = synthesize_echo(small_radar(), single_position_aperture(), scene, seed=3)
         assert a.samples.tobytes() == b.samples.tobytes()
 
+    @pytest.mark.parametrize("order", [0, -3, 2.5, True])
+    def test_max_harmonic_order_must_be_a_positive_integer(self, order):
+        # max(1, order) used to take 0, -3 and True as order 1 and 2.5 as 2.5
+        with pytest.raises(ValueError, match=f"^max_harmonic_order: must be an integer >= 1, got {order!r}$"):
+            synthesize_echo(small_radar(), single_position_aperture(), Scene(), max_harmonic_order=order)
+
     def test_constant_delay_columns_identical(self):
         ap = Aperture(kind="linear", azimuth_count=5, azimuth_spacing=0.05)
         scene = Scene(interferers=[Interferer(5.0, 1.0)])
@@ -250,6 +256,16 @@ class TestFitClipperPolynomial:
         with pytest.raises(ValueError):
             fit_clipper_polynomial(threshold=1.0, order=5, sample_count=5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"order": 2.5}, "order: must be an integer >= 1, got 2.5"),
+        ({"order": True}, "order: must be an integer >= 1, got True"),
+        ({"sample_count": 50.0}, "sample_count: must be an integer >= 4, got 50.0"),
+        ({"order": 5, "sample_count": 5}, "sample_count: must be an integer >= 6, got 5"),
+    ])
+    def test_order_and_sample_count_must_be_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_clipper_polynomial(**{"threshold": 1.0, "order": 3, "sample_count": 50, **kwargs})
+
     @pytest.mark.parametrize("kwargs, field", [
         ({"threshold": float("nan")}, "threshold"),
         ({"fit_max": float("nan")}, "fit_max"),
@@ -301,6 +317,11 @@ class TestPredictHarmonicRanges:
     def test_max_order_validated(self):
         with pytest.raises(ValueError):
             predict_harmonic_ranges([1.0], [], 0)
+
+    @pytest.mark.parametrize("order", [2.5, True])
+    def test_max_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match=f"^max_order: must be an integer >= 1, got {order!r}$"):
+            predict_harmonic_ranges([1.0], [], order)
 
 
 class TestHarmonicOracle:

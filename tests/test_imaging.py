@@ -114,6 +114,12 @@ class TestRangeCompress:
         with pytest.raises(ValueError):
             range_compress(echo, 0)
 
+    @pytest.mark.parametrize("oversample", [2.5, 2.0, True, "2"])
+    def test_oversample_must_be_an_integer(self, oversample):
+        echo = synthesize_echo(RADAR, one_position(), Scene())
+        with pytest.raises(ValueError, match=f"^oversample: must be an integer >= 1, got {oversample!r}$"):
+            range_compress(echo, oversample)
+
 
 class TestInterpolateProfile:
     def make_profiles(self, oversample=8):
