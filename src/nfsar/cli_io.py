@@ -31,6 +31,7 @@ from .core_model import (
     RadarParams,
     Saturation,
     Scene,
+    _require_instance,
     _require_int,
     _require_real,
     apply_saturation,
@@ -312,6 +313,9 @@ class PipelineConfig:
     guard_cells: int = 3
 
     def __post_init__(self):
+        for name, cls in (("radar", RadarParams), ("aperture", Aperture), ("scene", Scene),
+                          ("saturation", Saturation), ("solver", SolverConfig)):
+            _require_instance(name, getattr(self, name), cls)
         self.oversample = _require_int("oversample", self.oversample, 1)
         self.seed = _require_int("seed", self.seed, 0)
         if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
@@ -321,7 +325,7 @@ class PipelineConfig:
             raise ValueError("floor_db: must be < 0")
         self.guard_cells = _require_int("guard_cells", self.guard_cells, 0)
         if self.grid is not None:
-            _require_pairing(self.grid, self.aperture, "grid: ")
+            _require_pairing(_require_instance("grid", self.grid, ImageGrid), self.aperture, "grid: ")
 
     def canonical(self) -> dict:
         """Normalized config content for hashing.

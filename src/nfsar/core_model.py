@@ -55,10 +55,18 @@ def _require_nonnegative(name: str, value) -> float:
 
 
 def _require_int(name: str, value, minimum: int) -> int:
-    """A Python or numpy integer >= minimum, returned as an int; a bool is not an integer."""
+    """A Python or numpy integer >= minimum that fits int64, returned as an int; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"{name}: must be an integer < 2**63")
     return int(value)
+
+
+def _require_instance(name: str, value, cls: type):
+    if not isinstance(value, cls):
+        raise ValueError(f"{name}: must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _require_bool(name: str, value) -> bool:
@@ -204,6 +212,9 @@ class Scene:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        for name, cls in (("targets", PointTarget), ("interferers", Interferer)):
+            for item in getattr(self, name):
+                _require_instance(name, item, cls)
         self.noise_sigma = _require_nonnegative("noise_sigma", self.noise_sigma)
 
 

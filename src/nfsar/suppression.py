@@ -31,7 +31,11 @@ by the threshold.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +239,38 @@ def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.nda
 _RESTART_ULPS = 8
 
 
+@functools.cache
+def _blas_thread_calls():
+    """Get and set calls for numpy's OpenBLAS thread count; no-ops if it exports none.
+
+    Found by symbol, as threadpoolctl does (in wheels: numpy.libs/libscipy_openblas64_-*.so).
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym also searches its dependencies
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+        if get and put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return (lambda: 0), (lambda threads: None)
+
+
+_blas_lock = threading.RLock()  # a nested decompose call does not deadlock
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, process-wide, then restore the caller's count."""
+    get_threads, set_threads = _blas_thread_calls()
+    with _blas_lock:  # overlapping holders would restore each other's count
+        threads = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(threads)
+
+
 def decompose(interfered, config: SolverConfig | None = None) -> DecompositionResult:
     """Run the accelerated proximal iteration from X = C = 0.
 
@@ -259,6 +295,9 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     interference is the last low-rank step's input I - X truncated to the
     rank that step kept, with its singular values unshrunk, and
     residual_norm is measured against it.
+
+    The weights and the iteration run with numpy's OpenBLAS held at one
+    thread, so the result is the same bits whatever its pool size.
     """
     cfg = config if config is not None else SolverConfig()
     i_mat = np.asarray(interfered, dtype=np.complex128)
@@ -267,89 +306,90 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     if not np.isfinite(i_mat).all():
         raise ValueError("decompose requires finite input")
 
-    mu, rho = cfg.mu, cfg.rho
-    if mu is None or rho is None:  # auto_weights: SolverConfig allows no other case
-        auto_mu, auto_rho = default_params(i_mat) if np.any(i_mat) else (0.0, 0.0)
-        mu = auto_mu if mu is None else mu
-        rho = auto_rho if rho is None else rho
+    with _one_blas_thread():
+        mu, rho = cfg.mu, cfg.rho
+        if mu is None or rho is None:  # auto_weights: SolverConfig allows no other case
+            auto_mu, auto_rho = default_params(i_mat) if np.any(i_mat) else (0.0, 0.0)
+            mu = auto_mu if mu is None else mu
+            rho = auto_rho if rho is None else rho
 
-    peak = max(np.abs(i_mat.real).max(initial=0.0), np.abs(i_mat.imag).max(initial=0.0))
-    exponent = math.frexp(peak)[1]
-    i_mat = _times_power_of_two(i_mat, -exponent, np.empty_like(i_mat))
-    mu_n, rho_n = math.ldexp(mu, -exponent), math.ldexp(rho, -exponent)
+        peak = max(np.abs(i_mat.real).max(initial=0.0), np.abs(i_mat.imag).max(initial=0.0))
+        exponent = math.frexp(peak)[1]
+        i_mat = _times_power_of_two(i_mat, -exponent, np.empty_like(i_mat))
+        mu_n, rho_n = math.ldexp(mu, -exponent), math.ldexp(rho, -exponent)
 
-    def step(c):
-        x_new = update_target(c, i_mat, mu_n)
-        resid = i_mat - x_new
-        c_new, s, u, vh = _svt(resid, rho_n)
-        resid -= c_new  # I - X - C
-        value = _objective_value(resid, x_new, mu_n, rho_n, np.sum(s - rho_n))
-        return x_new, c_new, s, u, vh, value
+        def step(c):
+            x_new = update_target(c, i_mat, mu_n)
+            resid = i_mat - x_new
+            c_new, s, u, vh = _svt(resid, rho_n)
+            resid -= c_new  # I - X - C
+            value = _objective_value(resid, x_new, mu_n, rho_n, np.sum(s - rho_n))
+            return x_new, c_new, s, u, vh, value
 
-    x = np.zeros_like(i_mat)
-    c = np.zeros_like(i_mat)
-    c_prev = c
-    t = 1.0
-    trace: list[float] = []
-    rank_c: list[int] = []
-    nnz_x: list[int] = []
-    restarts = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        weight = (t - 1.0) / t_next
-        if weight:
-            # Y = C + weight*(C - C_prev), formed in C_prev's buffer, which is not needed again.
-            y = np.subtract(c, c_prev, out=c_prev)
-            y *= weight
-            y += c
-        else:
-            y = c
-        x_new, c_new, s, u, vh, value = step(y)
-        if weight and value > trace[-1] + _RESTART_ULPS * math.ulp(trace[-1]):
-            restarts += 1
-            t_next = 1.0
-            x_new = c_new = None  # free the discarded step and Y before the plain one
-            y = c_prev = c
-            x_new, c_new, s, u, vh, value = step(c)
-        t = t_next
-        # I is scaled to |entries| <= 1, so the objective, which sums ||X||_1
-        # and ||I - C - X||^2, is finite only when X and C are.
-        if not math.isfinite(value):
-            raise RuntimeError(f"non-finite iterate at iteration {iterations}")
-        trace.append(value)
-        rank_c.append(len(s))
-        nnz_x.append(int(np.count_nonzero(x_new)))
-        change = max(_relative_change(x_new, x), _relative_change(c_new, c))
-        if change < cfg.tol and y is not c:
-            # A step from an extrapolated point can repeat the iterate (X
-            # unchanged, hence C unchanged) without that point being a fixed
-            # point; then C_new is far from Y.
-            change = _relative_change(c_new, y)
-        c_prev, x, c = c, x_new, c_new
-        if change < cfg.tol:
-            converged = True
-            break
+        x = np.zeros_like(i_mat)
+        c = np.zeros_like(i_mat)
+        c_prev = c
+        t = 1.0
+        trace: list[float] = []
+        rank_c: list[int] = []
+        nnz_x: list[int] = []
+        restarts = 0
+        converged = False
+        iterations = 0
+        for iterations in range(1, cfg.max_iter + 1):
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            weight = (t - 1.0) / t_next
+            if weight:
+                # Y = C + weight*(C - C_prev), formed in C_prev's buffer, which is not needed again.
+                y = np.subtract(c, c_prev, out=c_prev)
+                y *= weight
+                y += c
+            else:
+                y = c
+            x_new, c_new, s, u, vh, value = step(y)
+            if weight and value > trace[-1] + _RESTART_ULPS * math.ulp(trace[-1]):
+                restarts += 1
+                t_next = 1.0
+                x_new = c_new = None  # free the discarded step and Y before the plain one
+                y = c_prev = c
+                x_new, c_new, s, u, vh, value = step(c)
+            t = t_next
+            # I is scaled to |entries| <= 1, so the objective, which sums ||X||_1
+            # and ||I - C - X||^2, is finite only when X and C are.
+            if not math.isfinite(value):
+                raise RuntimeError(f"non-finite iterate at iteration {iterations}")
+            trace.append(value)
+            rank_c.append(len(s))
+            nnz_x.append(int(np.count_nonzero(x_new)))
+            change = max(_relative_change(x_new, x), _relative_change(c_new, c))
+            if change < cfg.tol and y is not c:
+                # A step from an extrapolated point can repeat the iterate (X
+                # unchanged, hence C unchanged) without that point being a fixed
+                # point; then C_new is far from Y.
+                change = _relative_change(c_new, y)
+            c_prev, x, c = c, x_new, c_new
+            if change < cfg.tol:
+                converged = True
+                break
 
-    c = (u * s) @ vh
-    residual = float(np.linalg.norm(i_mat - x - c))
-    with np.errstate(over="ignore"):  # an overflow in input units is inf, left to the caller
-        trace_in_units = np.ldexp(np.array(trace), 2 * exponent).tolist()
-        residual = float(np.ldexp(residual, exponent))
-    return DecompositionResult(
-        target=_times_power_of_two(x, exponent, x),
-        interference=_times_power_of_two(c, exponent, c),
-        objective_trace=trace_in_units,
-        iterations_run=iterations,
-        converged=converged,
-        mu=float(mu),
-        rho=float(rho),
-        residual_norm=residual,
-        restarts=restarts,
-        rank_c=rank_c,
-        nnz_x=nnz_x,
-    )
+        c = (u * s) @ vh
+        residual = float(np.linalg.norm(i_mat - x - c))
+        with np.errstate(over="ignore"):  # an overflow in input units is inf, left to the caller
+            trace_in_units = np.ldexp(np.array(trace), 2 * exponent).tolist()
+            residual = float(np.ldexp(residual, exponent))
+        return DecompositionResult(
+            target=_times_power_of_two(x, exponent, x),
+            interference=_times_power_of_two(c, exponent, c),
+            objective_trace=trace_in_units,
+            iterations_run=iterations,
+            converged=converged,
+            mu=float(mu),
+            rho=float(rho),
+            residual_norm=residual,
+            restarts=restarts,
+            rank_c=rank_c,
+            nnz_x=nnz_x,
+        )
 
 
 def matricize_3d(volume: ComplexImage) -> np.ndarray:

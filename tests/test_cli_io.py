@@ -227,8 +227,7 @@ class TestLoadConfig:
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
-INT_FIELDS = {"num_freq", "azimuth_count", "height_count", "count", "max_iter", "oversample", "seed", "guard_cells"}
-BIG_INT = 10**400  # an integer, but too large for a float
+BIG_INT = 10**400  # an integer, but too large for a float or an int64
 RADAR = {"f0": 9e9, "delta_f": 1e6, "num_freq": 4}
 
 # (constructor of one bad value, field, kind of the field); None is the default of a "real?" field
@@ -261,12 +260,14 @@ FIELD_RULES = [
     (lambda v: SolverConfig(mu=1.0, rho=1.0, auto_weights=v), "auto_weights", "bool"),
     (lambda v: SolverConfig(per_slice_3d=v), "per_slice_3d", "bool"),
     (lambda v: dataclasses.replace(parse_config(minimal_config()), oversample=v), "oversample", "int"),
+    (lambda v: dataclasses.replace(parse_config(minimal_config()), seed=v), "seed", "int"),
+    (lambda v: dataclasses.replace(parse_config(minimal_config()), guard_cells=v), "guard_cells", "int"),
     (lambda v: dataclasses.replace(parse_config(minimal_config()), floor_db=v), "floor_db", "real"),
 ]
 BAD_VALUES = {
     "real": [True, "1.5", None, [1.0], BIG_INT],
     "real?": [True, "1.5", [1.0], BIG_INT],
-    "int": [True, "2", None, 2.5, 2.0, np.float64(2.0)],
+    "int": [True, "2", None, 2.5, 2.0, np.float64(2.0), BIG_INT],
     "bool": ["no", "false", 1, 0, None],
 }
 
@@ -274,7 +275,7 @@ BAD_VALUES = {
 def _refusal(field, kind, value):
     """The message a field's rule gives for a value of the wrong type."""
     if value is BIG_INT:
-        return f"^{field}: must be finite$"
+        return rf"^{field}: must be an integer < 2\*\*63$" if kind == "int" else f"^{field}: must be finite$"
     form = {"real": "a real number", "real?": "a real number", "int": r"an integer >= \d+", "bool": "a boolean"}[kind]
     return f"^{field}: must be {form}, got {re.escape(repr(value))}$"
 
@@ -312,11 +313,41 @@ class TestFieldRules:
         manifest = run_pipeline(config, ["simulate"])
         assert manifest["seed"] == 1
 
-    @pytest.mark.parametrize("value", [2.5, True])
-    def test_bad_oversample_refused_before_anything_is_written(self, tmp_path, value):
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "must be an integer >= 1, got 2.5"),
+        (True, "must be an integer >= 1, got True"),
+        (BIG_INT, r"must be an integer < 2\*\*63"),
+    ], ids=["2.5", "True", "big-int"])
+    def test_bad_oversample_refused_before_anything_is_written(self, tmp_path, value, message):
         config = parse_config(pipeline_config(tmp_path / "out"))
-        with pytest.raises(ValueError, match=f"^oversample: must be an integer >= 1, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^oversample: {message}$"):
             run_pipeline(dataclasses.replace(config, oversample=value))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["radar", "aperture", "scene", "saturation", "grid", "solver"])
+    def test_nested_field_of_another_type_refused_before_anything_is_written(self, tmp_path, field):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        value = getattr(config, field)
+        with pytest.raises(ValueError, match=f"^{field}: must be of type {type(value).__name__}, got dict$"):
+            run_pipeline(dataclasses.replace(config, **{field: dataclasses.asdict(value)}))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, item, kind", [("targets", (0.0, 4.5, 0.0), "PointTarget"),
+                                                   ("interferers", 1.85, "Interferer")], ids=["targets", "interferers"])
+    def test_scene_item_of_another_type_refused_before_anything_is_written(self, tmp_path, field, item, kind):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"^{field}: must be of type {kind}, got {type(item).__name__}$"):
+            scene = dataclasses.replace(config.scene, **{field: [*getattr(config.scene, field), item]})
+            run_pipeline(dataclasses.replace(config, scene=scene))
+        assert not (tmp_path / "out").exists()
+
+    def test_big_int_in_a_file_is_a_config_error_at_load(self, tmp_path, capsys):
+        cfg = pipeline_config(tmp_path / "out")
+        cfg["oversample"] = BIG_INT
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "oversample: must be an integer < 2**63" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_int_in_a_float_field_hashes_as_the_float(self):
@@ -357,8 +388,6 @@ def _admits(field, value):
         return field in ("kind", "mode")
     if isinstance(value, bool):
         return field in ("auto_weights", "per_slice_3d")
-    if value is BIG_INT:
-        return field in INT_FIELDS
     return isinstance(value, list) and field == "amplitude"  # a [real, imag] pair
 
 
