@@ -504,6 +504,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
             "converged": r.converged,
             "residual_norm": r.residual_norm,
             "restarts": r.restarts,
+            "rel_gap": r.rel_gap[-1],
         }
         for r in results
     ]
@@ -512,16 +513,17 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
         "rho": results[0].rho,
         "iterations": sum(r.iterations_run for r in results),
         "converged": all(r.converged for r in results),
+        "rel_gap": max(r.rel_gap[-1] for r in results),
         "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),
         "slices": slices,
     }
     _write_text(out / "decomposition.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     rows = [
-        f"{k},{i},{val:.12e},{rank},{nnz}\n"
+        f"{k},{i},{val:.12e},{rank},{nnz},{gap:.12e}\n"
         for k, r in enumerate(results)
-        for i, (val, rank, nnz) in enumerate(zip(r.objective_trace, r.rank_c, r.nnz_x), start=1)
+        for i, (val, rank, nnz, gap) in enumerate(zip(r.objective_trace, r.rank_c, r.nnz_x, r.rel_gap), start=1)
     ]
-    _write_text(out / "objective_trace.csv", "slice,iteration,objective,rank_c,nnz_x\n" + "".join(rows))
+    _write_text(out / "objective_trace.csv", "slice,iteration,objective,rank_c,nnz_x,rel_gap\n" + "".join(rows))
     export_db_image(target, config.floor_db, out / "target_db")
     export_db_image(interference, config.floor_db, out / "interference_db")
     return {

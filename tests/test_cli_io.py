@@ -350,6 +350,19 @@ class TestFieldRules:
         assert "oversample: must be an integer < 2**63" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [("mu", 0), ("rho", 0.0)])
+    def test_zero_solver_weight_is_a_config_error_at_load(self, tmp_path, capsys, field, value):
+        # A zero weight makes the split trivial, with a minimum of 0 that no relative gap certifies.
+        with pytest.raises(ValueError, match=f"^{field}: must be finite and > 0$"):
+            SolverConfig(**{field: value})
+        cfg = pipeline_config(tmp_path / "out")
+        cfg["solver"][field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert f"solver.{field}: must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_int_in_a_float_field_hashes_as_the_float(self):
         cfg = minimal_config()
         cfg["radar"]["num_freq"] = 64
@@ -651,14 +664,16 @@ class TestPipeline:
         assert len(record["slices"]) == 1
         assert record["slices"][0]["iterations"] == record["iterations"]
         lines = (out / "objective_trace.csv").read_text().splitlines()
-        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x"
+        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x,rel_gap"
         assert lines[1].startswith("0,1,") and len(lines) == record["iterations"] + 1
         image, _ = read_array(out / "image_raw.nfsc")
         res = decompose(image, config.solver)
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[3]) for r in rows] == res.rank_c
         assert [int(r[4]) for r in rows] == res.nnz_x
+        assert [float(r[5]) for r in rows] == pytest.approx(res.rel_gap, rel=1e-11, abs=0)
         assert record["slices"][0]["restarts"] == res.restarts
+        assert record["slices"][0]["rel_gap"] == record["rel_gap"] == res.rel_gap[-1]
         assert not (out / "report.txt").exists()
         assert {"target", "interference"} <= set(manifest["artifacts"])
 
@@ -875,10 +890,11 @@ class TestPipeline:
         assert record["converged"] == all(s["converged"] for s in slices)
         assert record["residual_norm"] == pytest.approx(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices)))
         for s in slices:
-            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm", "restarts"}
+            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm", "restarts", "rel_gap"}
             assert (s["mu"], s["rho"]) == (0.05, 0.5)
+        assert record["rel_gap"] == max(s["rel_gap"] for s in slices)
         lines = (out / "objective_trace.csv").read_text().splitlines()
-        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x"
+        assert lines[0] == "slice,iteration,objective,rank_c,nnz_x,rel_gap"
         rows = [line.split(",") for line in lines[1:]]
         for k, s in enumerate(slices):
             iters = [int(r[1]) for r in rows if int(r[0]) == k]

@@ -72,7 +72,7 @@ def accelerated_reference(i, mu, rho, n_iter):
 
 
 def plain_bcd(i, mu, rho, tol, max_iter=20000):
-    """The unaccelerated block coordinate descent with decompose's stopping rule."""
+    """The unaccelerated block coordinate descent, stopped on the relative change of its iterates."""
     x = np.zeros_like(i)
     c = np.zeros_like(i)
 
@@ -472,9 +472,10 @@ class TestDecompose:
         cfg = SolverConfig(mu=mu, rho=rho, auto_weights=False)
         res = decompose(i, cfg)
         # rho exceeds every singular value, so the first iteration lands on the
-        # fixed point X = soft(I, mu), C = 0 and the second sees no change.
-        assert res.iterations_run == 2
+        # fixed point X = soft(I, mu), C = 0, where the duality gap is 0.
+        assert res.iterations_run == 1
         assert res.converged
+        assert res.rel_gap == [pytest.approx(0.0, abs=1e-15)]
         assert np.array_equal(res.target, x_star)
         assert not np.any(res.interference)
 
@@ -555,11 +556,40 @@ class TestDecompose:
         i = random_complex(rng, (7, 1)) @ random_complex(rng, (1, 8)) + random_complex(rng, (7, 8), scale=0.3)
         res = decompose(i)
         assert res.nnz_x[4:6] == [0, 0]
-        x_ref, _, _, _ = plain_bcd(i, res.mu, res.rho, tol=1e-12)
+        x_ref, _, _, p_star = plain_bcd(i, res.mu, res.rho, tol=1e-12)
         assert np.count_nonzero(x_ref) == 2
         assert np.array_equal(res.target != 0, x_ref != 0)
-        _, _, _, plain_objective = plain_bcd(i, res.mu, res.rho, tol=SolverConfig().tol)
-        assert res.objective_trace[-1] <= plain_objective * (1 + 1e-12)
+        # The certificate's bound: the stop's objective is within tol of the minimum.
+        p_final = res.objective_trace[-1]
+        assert res.converged and p_final - p_star <= SolverConfig().tol * p_final
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+    def test_rel_gap_is_the_independent_gap(self, shape):
+        rng = np.random.default_rng(30)
+        i = low_rank_plus_spikes(rng, shape)
+        mu, rho = 0.1, 1.0
+        res = decompose(i, SolverConfig(mu=mu, rho=rho, auto_weights=False))
+        assert res.converged and len(res.rel_gap) == res.iterations_run
+        # From X alone: C = SVT(I - X) by a full SVD, then the objective and the dual value at theta*R.
+        x = res.target
+        u, s, vh = np.linalg.svd(i - x, full_matrices=False)
+        shrunk = np.maximum(s - rho, 0.0)
+        r = i - x - (u * shrunk) @ vh
+        p = 0.5 * np.linalg.norm(r) ** 2 + rho * shrunk.sum() + mu * np.abs(x).sum()
+        theta = min(1.0, mu / np.abs(r).max())
+        assert np.linalg.norm(theta * r, 2) <= rho * (1 + 1e-12) and np.abs(theta * r).max() <= mu * (1 + 1e-15)
+        dual = theta * np.vdot(r, i).real - 0.5 * theta**2 * np.linalg.norm(r) ** 2
+        assert (p - dual) / p == pytest.approx(res.rel_gap[-1], abs=1e-9)
+        assert p - dual >= -1e-12
+        assert res.rel_gap[-1] <= SolverConfig().tol
+
+    def test_stop_at_max_iter_is_not_converged_and_reports_its_gap(self):
+        rng = np.random.default_rng(28)
+        i = low_rank_plus_spikes(rng, (12, 40))
+        cfg = SolverConfig(mu=0.1, rho=1.0, auto_weights=False, max_iter=5)
+        res = decompose(i, cfg)
+        assert res.iterations_run == 5 and not res.converged
+        assert len(res.rel_gap) == 5 and res.rel_gap[-1] > cfg.tol
 
     def test_needs_at_most_half_the_plain_iterations(self):
         rng = np.random.default_rng(29)
