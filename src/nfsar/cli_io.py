@@ -158,8 +158,9 @@ def _write_text(path, text: str) -> str:
 
 def read_array(path) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Read an array file; returns (complex64 array, per-axis (start, spacing))."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    with open(path, "rb") as fh:  # one buffer, viewed in place: the payload is held once
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
     if len(raw) < 16:
         raise ArrayFormatError("truncated header")
     if raw[:4] != MAGIC:
@@ -190,14 +191,12 @@ def read_array(path) -> tuple[np.ndarray, list[tuple[float, float]]]:
         start, spacing = struct.unpack_from("<dd", raw, offset)
         axes.append((start, spacing))
         offset += 16
-    payload = raw[offset:]
-    if len(payload) != 8 * total:
+    if len(raw) - offset != 8 * total:
         raise ArrayFormatError(
-            f"truncated payload: expected {8 * total} bytes, found {len(payload)}"
+            f"truncated payload: expected {8 * total} bytes, found {len(raw) - offset}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    arr = flat.view(np.complex64).reshape(extents)
-    return arr, axes
+    arr = np.frombuffer(raw, dtype="<c8", offset=offset).astype(np.complex64, copy=False)
+    return arr.reshape(extents), axes
 
 
 # ---------------------------------------------------------------------------

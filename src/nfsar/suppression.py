@@ -161,16 +161,16 @@ def _svt(m: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.nd
     that C = (u * (s - threshold)) @ vh.
 
     Works on A = m or its conjugate transpose, whichever has fewer rows, by
-    the eigendecomposition of the small Gram matrix A A^H.  Falls back to the
-    thin SVD of m when the threshold is too small for the Gram route's
-    accuracy, or when the Gram matrix overflows, underflows or is zero.
+    the eigenpairs of the small Gram matrix A A^H near and above threshold^2.
+    Falls back to the thin SVD of m when the threshold is too small for the
+    Gram route's accuracy, or when the Gram matrix overflows, underflows or is zero.
     """
     wide = m.shape[0] <= m.shape[1]
     a = m if wide else m.conj().T
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        gram = a @ a.conj().T
+        gram, floor = a @ a.conj().T, threshold * threshold * (1.0 - 1e-6)  # s > t picks the rank below
     if gram.size and np.isfinite(gram).all():
-        w, q = np.linalg.eigh(gram)
+        w, q = _eigh_above(gram, floor)
         if w[-1] >= np.finfo(float).tiny and threshold >= _GRAM_MIN_THRESHOLD_RATIO * np.sqrt(w[-1]):
             s = np.sqrt(np.maximum(w[::-1], 0.0))
             r = int(np.count_nonzero(s > threshold))
@@ -231,12 +231,15 @@ _RESTART_ULPS = 8
 
 
 @functools.cache
-def _blas_thread_calls():
-    """Get and set calls for numpy's OpenBLAS thread count; no-ops if it exports none.
+def _numpy_blas():
+    """numpy's linalg extension; dlsym on it finds its OpenBLAS's symbols, as threadpoolctl does."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)  # wheels: numpy.libs/libscipy_openblas64_-*.so
 
-    Found by symbol, as threadpoolctl does (in wheels: numpy.libs/libscipy_openblas64_-*.so).
-    """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym also searches its dependencies
+
+@functools.cache
+def _blas_thread_calls():
+    """Get and set calls for numpy's OpenBLAS thread count; no-ops if it exports none."""
+    lib = _numpy_blas()
     for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
         get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None) for op in ("get", "set"))
         if get and put:
@@ -244,6 +247,38 @@ def _blas_thread_calls():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return (lambda: 0), (lambda threads: None)
+
+
+@functools.cache
+def _lapacke_zheevr():
+    """numpy's OpenBLAS LAPACKE_zheevr and its lapack_int dtype; None if it exports none."""
+    for name in ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_", "scipy_LAPACKE_zheevr"):
+        if zheevr := getattr(_numpy_blas(), name, None):  # the 64_ suffix marks 64-bit integers
+            i, f, p = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int32, ctypes.c_double, ctypes.c_void_p
+            zheevr.argtypes, zheevr.restype = [ctypes.c_int, *[ctypes.c_char] * 3, i, p, i, f, f, i, i, f, p, p, p, i, p], i
+            return zheevr, np.dtype(i)
+    return None
+
+
+def _eigh_above(gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix and their eigenvectors as columns.
+
+    Those above floor come from LAPACK zheevr in numpy's OpenBLAS, given the matrix scaled to
+    a fixed binade, as its bits do not scale with its input as eigh's do.  All come from eigh
+    where it exports none, where zheevr fails, or where no eigenvalue lies above floor.
+    """
+    if floor < gram.trace().real and (found := _lapacke_zheevr()):  # no eigenvalue exceeds the trace
+        (zheevr, int_dtype), n = found, len(gram)
+        exponent = math.frexp(gram.diagonal().real.max())[1]
+        work = _times_power_of_two(gram, -exponent, np.empty((n, n), np.complex128))  # zheevr overwrites it
+        w, z = np.empty(n), np.empty((n, n), np.complex128)
+        count, isuppz = np.zeros(1, int_dtype), np.empty(2 * n, int_dtype)
+        # Column-major (102), the C-order matrix reads as its conjugate: no copy, conjugated vectors, eigh's triangle.
+        info = zheevr(102, b"V", b"V", b"U", n, work.ctypes, n, math.ldexp(floor, -exponent), math.inf, 0, 0, 0.0,
+                      count.ctypes, w.ctypes, z.ctypes, n, isuppz.ctypes)
+        if info == 0 and count[0]:
+            return np.ldexp(w[: count[0]], exponent), z[: count[0]].conj().T
+    return np.linalg.eigh(gram)
 
 
 _blas_lock = threading.RLock()  # a nested decompose call does not deadlock

@@ -5,6 +5,7 @@ the caller's count on the way out.  The subprocess tests set the pool size
 with OPENBLAS_NUM_THREADS, which OpenBLAS reads once at load time.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfsar import suppression
+from nfsar import cli_io, core_model, imaging, suppression
 from nfsar.suppression import SolverConfig, decompose
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,7 @@ class TestThreadCount:
         set_threads(1)  # both runs then compute on the pool the solver uses
         ref = decompose(*problem())
         monkeypatch.setattr(suppression.ctypes, "CDLL", lambda path: object())  # a BLAS without them
+        suppression._numpy_blas.cache_clear()
         suppression._blas_thread_calls.cache_clear()
         try:
             res = decompose(*problem())
@@ -89,6 +91,7 @@ class TestThreadCount:
             decompose(*problem())
         finally:
             monkeypatch.undo()
+            suppression._numpy_blas.cache_clear()
             suppression._blas_thread_calls.cache_clear()
         assert res.target.tobytes() == ref.target.tobytes()
         assert res.interference.tobytes() == ref.interference.tobytes()
@@ -114,6 +117,27 @@ class TestThreadCount:
         assert not any(w.is_alive() for w in workers) and len(results) == 12
         assert set(seen) == {1} and get_threads() == before
         assert all(r.target.tobytes() == ref.target.tobytes() for r in results)
+
+
+def test_numpy_s_own_openblas_serves_the_svt_without_eigh(monkeypatch):
+    """Where numpy ships its scipy_openblas, the SVT must find zheevr there and use it.
+
+    Without it the solver falls back to a full eigh at every step, which gives
+    the right result slower; a numpy whose OpenBLAS renames the symbol fails here.
+    """
+    get_threads, _ = suppression._blas_thread_calls()
+    if not getattr(get_threads, "__name__", "").startswith("scipy_openblas"):
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread-count symbol")
+    assert suppression._lapacke_zheevr() is not None
+    cfg = dataclasses.replace(cli_io.load_config(CONFIGS / "pipeline2d.json"), seed=1)
+    echo = core_model.synthesize_echo(cfg.radar, cfg.aperture, cfg.scene, seed=cfg.seed)
+    profiles = imaging.range_compress(core_model.apply_saturation(echo, cfg.saturation), cfg.oversample)
+    image = imaging.backproject_2d(profiles, cfg.grid)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    res = decompose(image.values, cfg.solver)
+    assert res.converged and res.iterations_run > 1 and calls == []
 
 
 def run_under_pools(args, out_dirs=None):

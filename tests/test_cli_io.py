@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,23 @@ class TestArrayFormat:
         back, axes = read_array(path)
         assert np.array_equal(back, data)
         assert axes == [(1.5, 0.25), (-2.0, 0.125)]
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        rng = np.random.default_rng(1)
+        data = (rng.standard_normal((1024, 512)) + 1j * rng.standard_normal((1024, 512))).astype(np.complex64)
+        path = tmp_path / "m.nfsc"
+        write_array(path, data, axes=[(0.0, 1.0)] * 2)
+        size = path.stat().st_size
+        assert size > 4_000_000
+        tracemalloc.start()
+        try:
+            back, _ = read_array(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.dtype == np.complex64 and back.flags.writeable
+        assert back.tobytes() == data.tobytes()
+        assert peak <= 1.1 * size
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nfsc"

@@ -324,6 +324,41 @@ def svt_cases():
     }
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigh calls made after the fixture is set up."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def without_zheevr(monkeypatch):
+    """Make _svt's LAPACK lookup find nothing, as on a numpy built on another LAPACK."""
+    monkeypatch.setattr(suppression, "_lapacke_zheevr", lambda: None)
+
+
+def exact_gram_matrix(sigmas, wide):
+    """A dense matrix with the given singular values whose Gram matrix is exactly diagonal.
+
+    Its rows are Hadamard rows times sigma/2 and a unit phase, so every
+    product and sum forming the Gram matrix, and sigma**2, are exact.
+    """
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex)
+    phases = np.array([1, 1j, -1, -1j])[: len(sigmas)]
+    m = np.hstack([hadamard[: len(sigmas)] * (np.asarray(sigmas) / 2 * phases)[:, None], np.zeros((len(sigmas), 3))])
+    return m if wide else m.conj().T
+
+
+needs_zheevr = pytest.mark.skipif(suppression._lapacke_zheevr() is None,
+                                  reason="numpy's BLAS exports no LAPACKE_zheevr")
+
+
 class TestSvtKernel:
     """The private one-factorization kernel behind singular_value_threshold."""
 
@@ -372,6 +407,54 @@ class TestSvtKernel:
         c = _svt(m, 0.3 * sigma1)[0]
         assert svd_calls == [m.shape]
         assert np.abs(c - expected).max() <= 1e-12 * sigma1
+
+    @needs_zheevr
+    @pytest.mark.parametrize("name", list(svt_cases()))
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+    def test_no_full_factorization_and_the_thin_svd_result(self, name, fraction, svd_calls, eigh_calls):
+        m = svt_cases()[name]
+        sigma = np.linalg.svd(m, compute_uv=False)
+        expected = svt_by_thin_svd(m, fraction * sigma[0])
+        svd_calls.clear()
+        c = _svt(m, fraction * sigma[0])[0]
+        assert svd_calls == [] and eigh_calls == []
+        assert np.abs(c - expected).max() <= 1e-12 * sigma[0]
+
+    @needs_zheevr
+    @pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rank_at_a_singular_value_and_one_ulp_either_side_is_eigh_s(self, wide, k, eigh_calls, monkeypatch):
+        sigmas = [3.0, 2.0, 1.5, 0.5]
+        m = exact_gram_matrix(sigmas, wide)
+        thresholds = [np.nextafter(sigmas[k - 1], 0.0), sigmas[k - 1], np.nextafter(sigmas[k - 1], np.inf)]
+        ranks = [_svt(m, t)[1].size for t in thresholds]
+        assert ranks == [k, k - 1, k - 1] and eigh_calls == []
+        without_zheevr(monkeypatch)
+        assert [_svt(m, t)[1].size for t in thresholds] == ranks
+        assert len(eigh_calls) == 3
+
+    @needs_zheevr
+    @pytest.mark.parametrize("name", list(svt_cases()))
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.9])
+    def test_without_zheevr_eigh_gives_the_same_rank_and_result(self, name, fraction, eigh_calls, monkeypatch):
+        m = svt_cases()[name]
+        sigma1 = np.linalg.svd(m, compute_uv=False)[0]
+        c, s, _, _ = _svt(m, fraction * sigma1)
+        without_zheevr(monkeypatch)
+        c_eigh, s_eigh, _, _ = _svt(m, fraction * sigma1)
+        assert eigh_calls == [(min(m.shape),) * 2]
+        assert s_eigh.size == s.size
+        assert np.abs(c_eigh - c).max() <= 1e-12 * sigma1
+
+    @pytest.mark.parametrize("name", list(svt_cases()))
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.5, 1e200])
+    def test_threshold_at_or_above_sigma1_gives_zero(self, name, factor, svd_calls):
+        m = svt_cases()[name]
+        sigma1 = np.linalg.svd(m, compute_uv=False)[0]
+        svd_calls.clear()
+        c, s, u, vh = _svt(m, factor * sigma1)
+        assert svd_calls == [] and s.size == 0 and not np.any(c)
+        assert c.shape == m.shape and u.shape == (m.shape[0], 0) and vh.shape == (0, m.shape[1])
 
 
 class TestUpdateInterference:
