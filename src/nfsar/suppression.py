@@ -171,7 +171,10 @@ def _svt(m: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.nd
         gram, floor = a @ a.conj().T, threshold * threshold * (1.0 - 1e-6)  # s > t picks the rank below
     if gram.size and np.isfinite(gram).all():
         w, q = _eigh_above(gram, floor)
-        if w[-1] >= np.finfo(float).tiny and threshold >= _GRAM_MIN_THRESHOLD_RATIO * np.sqrt(w[-1]):
+        # With none above floor the rank is 0 and lambda_max < t^2 passes the accuracy cutoff;
+        # the largest diagonal entry, at most lambda_max, stands in for it in the underflow test.
+        top = w[-1] if w.size else gram.diagonal().real.max()
+        if top >= np.finfo(float).tiny and threshold >= _GRAM_MIN_THRESHOLD_RATIO * np.sqrt(top):
             s = np.sqrt(np.maximum(w[::-1], 0.0))
             r = int(np.count_nonzero(s > threshold))
             s, u = s[:r], q[:, ::-1][:, :r]
@@ -251,32 +254,32 @@ def _blas_thread_calls():
 
 @functools.cache
 def _lapacke_zheevr():
-    """numpy's OpenBLAS LAPACKE_zheevr and its lapack_int dtype; None if it exports none."""
-    for name in ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_", "scipy_LAPACKE_zheevr"):
-        if zheevr := getattr(_numpy_blas(), name, None):  # the 64_ suffix marks 64-bit integers
-            i, f, p = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int32, ctypes.c_double, ctypes.c_void_p
-            zheevr.argtypes, zheevr.restype = [ctypes.c_int, *[ctypes.c_char] * 3, i, p, i, f, f, i, i, f, p, p, p, i, p], i
-            return zheevr, np.dtype(i)
-    return None
+    """LAPACKE_zheevr of numpy 2's scipy_openblas64 (64-bit lapack_int); None if it exports none."""
+    if zheevr := getattr(_numpy_blas(), "scipy_LAPACKE_zheevr64_", None):
+        i, f, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        zheevr.argtypes, zheevr.restype = [ctypes.c_int, *[ctypes.c_char] * 3, i, p, i, f, f, i, i, f, p, p, p, i, p], i
+    return zheevr
 
 
 def _eigh_above(gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a Hermitian matrix and their eigenvectors as columns.
 
     Those above floor come from LAPACK zheevr in numpy's OpenBLAS, given the matrix scaled to
-    a fixed binade, as its bits do not scale with its input as eigh's do.  All come from eigh
-    where it exports none, where zheevr fails, or where no eigenvalue lies above floor.
+    a fixed binade, as its bits do not scale with its input as eigh's do; none come back when
+    none lies above floor.  All come from eigh where it exports none or where zheevr fails.
     """
-    if floor < gram.trace().real and (found := _lapacke_zheevr()):  # no eigenvalue exceeds the trace
-        (zheevr, int_dtype), n = found, len(gram)
+    n = len(gram)
+    if floor >= gram.trace().real:  # no eigenvalue exceeds the trace
+        return np.empty(0), np.empty((n, 0), np.complex128)
+    if zheevr := _lapacke_zheevr():
         exponent = math.frexp(gram.diagonal().real.max())[1]
         work = _times_power_of_two(gram, -exponent, np.empty((n, n), np.complex128))  # zheevr overwrites it
         w, z = np.empty(n), np.empty((n, n), np.complex128)
-        count, isuppz = np.zeros(1, int_dtype), np.empty(2 * n, int_dtype)
+        count, isuppz = np.zeros(1, np.int64), np.empty(2 * n, np.int64)
         # Column-major (102), the C-order matrix reads as its conjugate: no copy, conjugated vectors, eigh's triangle.
         info = zheevr(102, b"V", b"V", b"U", n, work.ctypes, n, math.ldexp(floor, -exponent), math.inf, 0, 0, 0.0,
                       count.ctypes, w.ctypes, z.ctypes, n, isuppz.ctypes)
-        if info == 0 and count[0]:
+        if info == 0:
             return np.ldexp(w[: count[0]], exponent), z[: count[0]].conj().T
     return np.linalg.eigh(gram)
 

@@ -410,7 +410,7 @@ class TestSvtKernel:
 
     @needs_zheevr
     @pytest.mark.parametrize("name", list(svt_cases()))
-    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0, 1.5])
     def test_no_full_factorization_and_the_thin_svd_result(self, name, fraction, svd_calls, eigh_calls):
         m = svt_cases()[name]
         sigma = np.linalg.svd(m, compute_uv=False)
