@@ -171,8 +171,7 @@ def _svt(m: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.nd
         gram, floor = a @ a.conj().T, threshold * threshold * (1.0 - 1e-6)  # s > t picks the rank below
     if gram.size and np.isfinite(gram).all():
         w, q = _eigh_above(gram, floor)
-        # With none above floor the rank is 0 and lambda_max < t^2 passes the accuracy cutoff;
-        # the largest diagonal entry, at most lambda_max, stands in for it in the underflow test.
+        # None above floor: rank 0, lambda_max < t^2 passes the cutoff, a diagonal entry stands in below.
         top = w[-1] if w.size else gram.diagonal().real.max()
         if top >= np.finfo(float).tiny and threshold >= _GRAM_MIN_THRESHOLD_RATIO * np.sqrt(top):
             s = np.sqrt(np.maximum(w[::-1], 0.0))
@@ -262,17 +261,15 @@ def _lapacke_zheevr():
 
 
 def _eigh_above(gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of a Hermitian matrix and their eigenvectors as columns.
+    """Ascending eigenvalues of a Hermitian matrix above floor and their eigenvectors as columns.
 
-    Those above floor come from LAPACK zheevr in numpy's OpenBLAS, given the matrix scaled to
-    a fixed binade, as its bits do not scale with its input as eigh's do; none come back when
-    none lies above floor.  All come from eigh where it exports none or where zheevr fails.
+    They come from numpy's OpenBLAS zheevr, given the matrix scaled to a fixed binade, as its bits
+    do not scale with its input as eigh's do.  Where it exports none or zheevr fails, eigh gives all.
     """
-    n = len(gram)
     if floor >= gram.trace().real:  # no eigenvalue exceeds the trace
-        return np.empty(0), np.empty((n, 0), np.complex128)
+        return np.empty(0), np.empty((len(gram), 0), np.complex128)
     if zheevr := _lapacke_zheevr():
-        exponent = math.frexp(gram.diagonal().real.max())[1]
+        n, exponent = len(gram), math.frexp(gram.diagonal().real.max())[1]
         work = _times_power_of_two(gram, -exponent, np.empty((n, n), np.complex128))  # zheevr overwrites it
         w, z = np.empty(n), np.empty((n, n), np.complex128)
         count, isuppz = np.zeros(1, np.int64), np.empty(2 * n, np.int64)
