@@ -37,7 +37,6 @@ from .imaging import (
     backproject_2d,
     backproject_3d,
     image_to_db,
-    interpolate_profile,
     range_compress,
 )
 from .suppression import (

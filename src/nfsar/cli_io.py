@@ -44,6 +44,7 @@ from .imaging import (
     GridAxis,
     ImageGrid,
     RangeProfileSet,
+    _backproject,
     _require_pairing,
     backproject_2d,
     backproject_3d,
@@ -134,7 +135,7 @@ def write_array(path, data, axes: Sequence[tuple[float, float]]) -> str:
     # complex64 values cannot overflow, so it is finite exactly when every
     # value is; unlike isfinite it needs no array-sized temporary.
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex64))
+        arr = np.asarray(data, dtype=np.complex64, order="C")  # one pass, whatever data's order
         finite = np.isfinite(arr.sum(dtype=np.complex128))
     if arr.ndim < 1 or arr.ndim > MAX_DIMS:
         raise ArrayFormatError(f"array rank {arr.ndim} outside supported 1..{MAX_DIMS}")
@@ -449,14 +450,20 @@ def _image_from_profiles(config: PipelineConfig, profiles: RangeProfileSet) -> C
     return (backproject_3d if config.grid.ndim == 3 else backproject_2d)(profiles, config.grid)
 
 
-def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+def _background_profiles(config: PipelineConfig) -> RangeProfileSet:
+    """The scene without targets, on the same seed: its noise cancels in the reference."""
+    scene = dataclasses.replace(config.scene, targets=[])
+    return range_compress(_simulate_echo(config, scene), config.oversample)  # the echo's only reference
+
+
+def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
     echo = _simulate_echo(config, config.scene)
     axes = [(config.radar.f0, config.radar.delta_f), (0.0, 1.0)]
     sha256 = write_array(out / ECHO_FILE, echo.samples, axes)
     return {"echo": _entry(ECHO_FILE, sha256, echo.samples.shape)}
 
 
-def stage_compress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+def stage_compress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
     data, _ = _need(out, artifacts, ECHO_FILE, "simulate")
     echo = EchoData(data, config.radar, config.aperture)
     profiles = range_compress(echo, config.oversample)
@@ -474,9 +481,12 @@ def _write_image(path: Path, image: ComplexImage) -> str:
     return write_array(path, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
 
 
-def stage_image(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
-    profiles = _load_profiles(config, out, artifacts)
-    image = _image_from_profiles(config, profiles)
+def stage_image(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
+    if "evaluate" in held["stages"]:  # evaluate's background is imaged in the same pass
+        background = _background_profiles(config)
+        image, held["background"] = _backproject((_load_profiles(config, out, artifacts), background), config.grid)
+    else:
+        image = _image_from_profiles(config, _load_profiles(config, out, artifacts))
     sha256 = _write_image(out / IMAGE_FILE, image)
     export_db_image(image, config.floor_db, out / "image_raw_db")
     return {"image": _entry(IMAGE_FILE, sha256, image.values.shape)}
@@ -488,7 +498,7 @@ def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> Com
     return ComplexImage(data, grid)
 
 
-def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
     image = _load_image(out, artifacts, IMAGE_FILE, "image")
     target, interference, results = decompose_image(image, config.solver)
     if not all(np.isfinite(r.objective_trace).all() for r in results):
@@ -531,16 +541,12 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
     }
 
 
-def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict) -> dict:
+def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
     raw = _load_image(out, artifacts, IMAGE_FILE, "image")
     suppressed = _load_image(out, artifacts, TARGET_FILE, "suppress")
-
-    # Reference chain: re-run the simulation without targets and subtract,
-    # reusing the seed so the noise realization cancels exactly.
-    background_scene = dataclasses.replace(config.scene, targets=[])
-    echo_bg = _simulate_echo(config, background_scene)
-    profiles_bg = range_compress(echo_bg, config.oversample)
-    reference = background_subtract(raw, _image_from_profiles(config, profiles_bg))
+    if "background" not in held:  # no image stage in this run imaged it
+        held["background"] = _image_from_profiles(config, _background_profiles(config))
+    reference = background_subtract(raw, held.pop("background"))
     _write_image(out / REFERENCE_FILE, reference)
 
     try:
@@ -637,8 +643,9 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     manifest_path = out / MANIFEST_FILE
     with _output_lock(out):
         artifacts = _trusted_artifacts(manifest_path, config.config_hash)
+        held = {"stages": ordered}  # what one stage leaves in memory for a later one of this run
         for name in ordered:
-            artifacts.update(STAGE_FUNCS[name](config, out, artifacts))
+            artifacts.update(STAGE_FUNCS[name](config, out, artifacts, held))
         manifest = {
             "format_version": FORMAT_VERSION,
             "config_hash": config.config_hash,

@@ -31,7 +31,8 @@ class RangeProfileSet:
     aperture: Aperture
 
     def __post_init__(self):
-        self.profiles = np.asarray(self.profiles, dtype=np.complex128)
+        profiles = np.asarray(self.profiles)  # complex64 (read from a file) is kept: np.interp widens it exactly
+        self.profiles = profiles if profiles.dtype == np.complex64 else profiles.astype(np.complex128, copy=False)
         expected = self.oversample * self.radar.num_freq
         if self.profiles.shape[0] != expected:
             raise ValueError("profile bin count must equal oversample * num_freq")
@@ -58,12 +59,17 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
 
     Zero-pads each column to oversample * num_freq and applies the inverse
     DFT, scaled so a unit-amplitude scatterer gives a unit-magnitude peak at
-    the bin nearest tau = 2R/c.  No window is applied.
+    the bin nearest tau = 2R/c.  No window is applied.  Each profile column
+    is contiguous: the transform runs over rows of the transposed echo.
     """
     _require_int("oversample", oversample, 1)
     nbins = oversample * echo.radar.num_freq
-    profiles = np.fft.ifft(echo.samples, n=nbins, axis=0) * oversample
-    return RangeProfileSet(profiles, oversample, echo.radar, echo.aperture)
+    radar, aperture = echo.radar, echo.aperture
+    rows = np.ascontiguousarray(echo.samples.T)
+    del echo  # given the echo's only reference, it is freed before the profiles are allocated
+    profiles = np.fft.ifft(rows, n=nbins, axis=-1)
+    profiles *= oversample
+    return RangeProfileSet(profiles.T, oversample, radar, aperture)
 
 
 def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, int]:
@@ -88,20 +94,6 @@ def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> tuple[np
     if hi == last:
         outside += int(np.count_nonzero(idx > last))
     return samples, outside
-
-
-def interpolate_profile(profiles: RangeProfileSet, slow_time_index: int, tau: float) -> complex:
-    """Linearly interpolate one profile at fast time tau [s].
-
-    Delays outside the closed swath [0, max tau] contribute zero;
-    back-projection counts such out-of-swath voxel contributions.
-    """
-    positions = profiles.profiles.shape[1]
-    if not 0 <= slow_time_index < positions:
-        raise ValueError(f"slow_time_index: must be in [0, {positions})")
-    _require_real("tau", tau)
-    col = profiles.profiles[:, slow_time_index]
-    return complex(_interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -246,18 +238,26 @@ def _slab_count(shape: tuple[int, ...]) -> int:
     return max(1, min(cpus, shape[0], voxels // _MIN_VOXELS_PER_THREAD))
 
 
-def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
-    """Back-projection body shared by backproject_2d and backproject_3d.
+def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[ComplexImage]:
+    """Back-project one or more profile sets onto one grid: one image each.
+
+    The sets share radar, aperture and oversample, so a position's distances,
+    delay indices and carrier serve them all, and the out-of-swath count is
+    taken and warned once.  Each image is the same bytes as its set's alone.
 
     The grid is cut into contiguous slabs of range rows, one per thread.
     Each slab runs the whole position loop for its rows and accumulates in
-    place into its part of the image, so every voxel sums the same terms in
+    place into its part of the images, so every voxel sums the same terms in
     the same order whatever the thread count, and the image is the same
     bytes on any number of cores.  The squared axis offsets for every
     position and each slab's window of profile bins are computed before the
     position loop; a position then writes into the slab's buffers, and
-    np.interp's samples are the one slab-sized array it allocates.
+    np.interp's samples are the one slab-sized array it allocates per set.
     """
+    profiles = sets[0]
+    shared = (profiles.radar, profiles.aperture, profiles.oversample)
+    if any((s.radar, s.aperture, s.oversample) != shared for s in sets):
+        raise ValueError("profile sets imaged in one pass must share radar, aperture and oversample")
     ap = profiles.aperture
     _require_pairing(grid, ap)
     # Voxel coordinates as axis vectors that broadcast to (nr, na, nh); a 2D
@@ -271,7 +271,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     # The carrier phase 4*pi*f0*R/c in turns is u = 2*f0*R/c; _carrier takes
     # it in table steps.
     steps_per_metre = _CARRIER_STEPS * (2.0 * profiles.radar.f0 / c)
-    out = np.zeros(grid.shape + (1,) * (3 - grid.ndim), dtype=np.complex128)
+    out = np.zeros((len(sets),) + grid.shape + (1,) * (3 - grid.ndim), dtype=np.complex128)
 
     def squares(vox: np.ndarray, axis: int) -> np.ndarray:
         """(vox - p)**2 for every position p, stacked along a new first axis."""
@@ -288,7 +288,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
 
     def slab(lo: int, hi: int) -> int:
         """Accumulate rows lo:hi of out; returns their out-of-swath count."""
-        acc = out[lo:hi]
+        accs = out[:, lo:hi]
         dy2 = squares(vox_y[lo:hi], 1)
         # Every rounded step below is monotone, and positions and voxels are
         # both products of their axes, so one voxel-position pair takes all
@@ -299,25 +299,28 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
         final = int(np.clip(np.floor(far) + 1, 0, last))  # above every index unless last
         bins = np.arange(first, final + 1, dtype=float)
         # Work buffers, allocated once per slab and rewritten at every position.
-        dist = np.empty(acc.shape)
-        dxy = np.empty(acc.shape[:2] + (1,))  # dx**2 + dy**2
-        idx = np.empty(acc.shape)
-        carrier = np.empty(acc.shape, dtype=np.complex128)
-        work = _carrier_work(acc.shape)
+        shape = accs.shape[1:]
+        dist = np.empty(shape)
+        dxy = np.empty(shape[:2] + (1,))  # dx**2 + dy**2
+        idx = np.empty(shape)
+        carrier = np.empty(shape, dtype=np.complex128)
+        work = _carrier_work(shape)
         oos = 0
         for n in range(len(positions)):
             np.add(dx2[n], dy2[n], out=dxy)
             np.add(dxy, dz2[n], out=dist)
             np.sqrt(dist, out=dist)
-            sample, outside = _interpolate(profiles.profiles[:, n], delay_index(dist, idx), bins)
-            oos += outside
+            delay_index(dist, idx)
             _carrier(dist, steps_per_metre, carrier, work)
-            # Always carrier * sample: a complex product rounds differently
-            # with its operand order, and one fixed order keeps every voxel's
-            # sum, and so the image, the same bytes at any thread count.
-            carrier *= sample
-            acc += carrier
-            del sample  # freed before the next position's samples are made
+            for acc, s in zip(accs, sets):
+                sample, outside = _interpolate(s.profiles[:, n], idx, bins)
+                # Always carrier * sample: a complex product rounds differently
+                # with its operand order, and one fixed order keeps every voxel's
+                # sum, and so the image, the same bytes at any thread count.
+                np.multiply(carrier, sample, out=sample)
+                acc += sample
+                del sample  # freed before the next samples are made
+            oos += outside  # the same for every set: they share idx and bins
         return oos
 
     threads = _slab_count(grid.shape)
@@ -343,7 +346,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
         if isinstance(result, BaseException):
             raise result
     oos = sum(results)
-    total = out.size * len(positions)
+    total = out[0].size * len(positions)
     if oos == total:
         raise ValueError("image grid lies entirely outside the compressed swath")
     if oos:
@@ -352,7 +355,7 @@ def _backproject(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
             RuntimeWarning,
             stacklevel=3,
         )
-    return ComplexImage((out / len(positions)).reshape(grid.shape), grid)
+    return [ComplexImage((image / len(positions)).reshape(grid.shape), grid) for image in out]
 
 
 def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
@@ -364,14 +367,14 @@ def backproject_2d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     """
     if grid.ndim != 2:
         raise ValueError("backproject_2d needs a 2D (range, azimuth) grid")
-    return _backproject(profiles, grid)
+    return _backproject((profiles,), grid)[0]
 
 
 def backproject_3d(profiles: RangeProfileSet, grid: ImageGrid) -> ComplexImage:
     """Back-project onto a (range, azimuth, height) grid from a planar aperture."""
     if grid.ndim != 3:
         raise ValueError("backproject_3d needs a 3D (range, azimuth, height) grid")
-    return _backproject(profiles, grid)
+    return _backproject((profiles,), grid)[0]
 
 
 def image_to_db(image: ComplexImage, floor_db: float = -60.0) -> np.ndarray:

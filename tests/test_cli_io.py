@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nfsar import cli_io
+from nfsar import cli_io, imaging
 from nfsar.cli_io import (
     ArrayFormatError,
     ConfigError,
@@ -931,6 +932,64 @@ class TestPipeline:
         db, _ = read_array(tmp_path / "s2" / "echo.nfsc")
         assert not np.array_equal(da, db)
         assert a.config_hash != b.config_hash
+
+
+class TestBackgroundPass:
+    """evaluate's background is imaged in the image stage's back-projection
+    pass when one run holds both stages, and by evaluate when it runs alone."""
+
+    def test_single_stage_calls_write_the_bytes_of_one_pipeline_run(self, tmp_path):
+        config = str(CONFIGS / "pipeline2d.json")
+        for stage in cli_io.STAGE_ORDER:
+            assert main([stage, "--config", config, "--out", str(tmp_path / "stages"), "--seed", "1"]) == 0
+        assert main(["pipeline", "--config", config, "--out", str(tmp_path / "run"), "--seed", "1"]) == 0
+        files = sorted(p.name for p in (tmp_path / "run").iterdir() if p.name != ".lock")
+        assert len(files) == 17
+        assert sorted(p.name for p in (tmp_path / "stages").iterdir() if p.name != ".lock") == files
+        for name in files:
+            assert (tmp_path / "stages" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record the set count of each back-projection pass and count echo syntheses."""
+        passes, echoes = [], []
+        backproject, synthesize = cli_io._backproject, cli_io.synthesize_echo
+
+        def counting_backproject(sets, grid):
+            passes.append(len(sets))
+            return backproject(sets, grid)
+
+        def counting_synthesize(*args, **kwargs):
+            echoes.append(args[2])
+            return synthesize(*args, **kwargs)
+
+        for module in (imaging, cli_io):
+            monkeypatch.setattr(module, "_backproject", counting_backproject)
+        monkeypatch.setattr(cli_io, "synthesize_echo", counting_synthesize)
+        return passes, echoes
+
+    def test_full_run_images_both_sets_in_one_pass(self, tmp_path, monkeypatch):
+        passes, echoes = self.count_calls(monkeypatch)
+        run_pipeline(parse_config(pipeline_config(tmp_path / "out")))
+        assert passes == [2]
+        assert [len(scene.targets) for scene in echoes] == [1, 0]
+
+    def test_image_without_evaluate_makes_no_background(self, tmp_path, monkeypatch):
+        passes, echoes = self.count_calls(monkeypatch)
+        run_pipeline(parse_config(pipeline_config(tmp_path / "out")), ["simulate", "compress", "image"])
+        assert passes == [1] and len(echoes) == 1
+
+    def test_out_of_swath_voxels_warn_once_per_run(self, tmp_path):
+        # The grid straddles the swath's far end, c / (2 * delta_f) = 3.198 m.
+        cfg = pipeline_config(tmp_path / "out")
+        cfg["grid"]["range"]["start"] = 3.0
+        cfg["scene"]["targets"][0]["position"] = [0.0, 3.1, 0.0]
+        cfg["scene"]["interferers"][0]["delay_range"] = 3.05
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_pipeline(parse_config(cfg))
+        swath = [str(w.message) for w in caught if "outside the swath" in str(w.message)]
+        assert len(swath) == 1 and not swath[0].startswith("0 ")
 
 
 class TestCli:

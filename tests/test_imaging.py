@@ -26,7 +26,6 @@ from nfsar.imaging import (
     backproject_2d,
     backproject_3d,
     image_to_db,
-    interpolate_profile,
     range_compress,
 )
 
@@ -51,6 +50,14 @@ def planar_aperture(count=8, spacing=0.02):
 
 def grid2d(r0, nr, a0, na, spacing=0.025):
     return ImageGrid((GridAxis(r0, spacing, nr), GridAxis(a0, spacing, na)))
+
+
+def interpolate_profile(profiles, slow_time_index, tau):
+    """Profile slow_time_index linearly interpolated at fast time tau [s], zero
+    outside the closed swath [0, max tau]: the per-sample oracle that the
+    imager is checked against."""
+    col = profiles.profiles[:, slow_time_index]
+    return complex(imaging._interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float))[0])
 
 
 class TestRangeCompress:
@@ -114,6 +121,20 @@ class TestRangeCompress:
         with pytest.raises(ValueError):
             range_compress(echo, 0)
 
+    def test_profiles_are_the_scaled_inverse_transform_in_contiguous_columns(self):
+        echo = synthesize_echo(RADAR, linear_aperture(count=24), Scene(targets=[PointTarget((0.0, 3.0, 0.0))],
+                               interferers=[Interferer(2.0)], noise_sigma=0.1), seed=4)
+        profiles = range_compress(echo, 8).profiles
+        assert profiles.tobytes() == (np.fft.ifft(echo.samples, 8 * RADAR.num_freq, axis=0) * 8).tobytes()
+        assert profiles.flags.f_contiguous and profiles[:, 5].flags.c_contiguous
+
+    def test_complex64_profiles_are_kept(self):
+        echo = synthesize_echo(RADAR, one_position(), Scene(interferers=[Interferer(2.0)]))
+        narrow = range_compress(echo, 4).profiles.astype(np.complex64)
+        assert imaging.RangeProfileSet(narrow, 4, RADAR, one_position()).profiles is narrow
+        wide = imaging.RangeProfileSet(narrow.real, 4, RADAR, one_position()).profiles
+        assert wide.dtype == np.complex128
+
     @pytest.mark.parametrize("oversample", [2.5, 2.0, True, "2"])
     def test_oversample_must_be_an_integer(self, oversample):
         echo = synthesize_echo(RADAR, one_position(), Scene())
@@ -164,17 +185,6 @@ class TestInterpolateProfile:
         profiles = self.make_profiles()
         assert interpolate_profile(profiles, 0, -1e-12) == 0
         assert interpolate_profile(profiles, 0, profiles.tau_axis[-1] + 1e-12) == 0
-
-    @pytest.mark.parametrize("index", [-1, 1])
-    def test_slow_time_index_outside_the_aperture_rejected(self, index):
-        profiles = self.make_profiles()  # one position
-        with pytest.raises(ValueError, match=r"^slow_time_index: must be in \[0, 1\)$"):
-            interpolate_profile(profiles, index, profiles.tau_axis[100])
-
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_tau_rejected(self, tau):
-        with pytest.raises(ValueError, match="^tau: must be finite$"):
-            interpolate_profile(self.make_profiles(), 0, tau)
 
     def test_against_dense_oversample_oracle(self):
         # worst case sits on the mainlobe, where the compression phase ramp
@@ -580,6 +590,65 @@ class TestBackprojectReference:
         assert 0 < beyond < total and in_last_bin > 0
         (record,) = caught
         assert str(record.message) == f"{beyond} of {total} voxel contributions fell outside the swath and were zeroed"
+
+
+class TestBackprojectSets:
+    """One pass over several profile sets gives each set's own image."""
+
+    R_U = RADAR.unambiguous_range
+
+    def case(self, ndim):
+        # The grid straddles the swath's far end: some contributions are zeroed.
+        if ndim == 3:
+            aperture = planar_aperture(count=3, spacing=0.05)
+            grid = ImageGrid((GridAxis(self.R_U - 0.3, 0.07, 6), GridAxis(-0.06, 0.03, 5),
+                              GridAxis(-0.06, 0.03, 4)))
+        else:
+            aperture = linear_aperture(count=5, spacing=0.05)
+            grid = grid2d(self.R_U - 0.3, 9, -0.09, 7, spacing=0.045)
+        interferers = [Interferer(self.R_U - 0.15)]
+        raw = Scene(targets=[PointTarget((0.01, self.R_U - 0.25, 0.0))], interferers=interferers, noise_sigma=0.05)
+        sets = [range_compress(synthesize_echo(RADAR, aperture, scene, seed=2), 4)
+                for scene in (raw, Scene(interferers=interferers, noise_sigma=0.05))]
+        return sets, grid, (backproject_3d if ndim == 3 else backproject_2d)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_same_bytes_as_one_set_at_a_time_and_one_warning(self, monkeypatch, ndim, cpus):
+        monkeypatch.setattr(imaging, "_MIN_VOXELS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        (a, b), grid, backproject = self.case(ndim)
+        assert imaging._slab_count(grid.shape) == cpus
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = [backproject(p, grid).values.tobytes() for p in (a, b)]
+            paired = imaging._backproject((a, b), grid)
+        assert [image.values.tobytes() for image in paired] == alone
+        assert alone[0] != alone[1]
+        # a warning per one-set call, then one for the pair with the same count
+        assert [str(w.message) for w in caught] == [str(caught[0].message)] * 3
+        assert "voxel contributions fell outside the swath" in str(caught[0].message)
+
+    def test_complex64_set_images_as_its_widening(self):
+        (a, _), grid, backproject = self.case(2)
+        narrow = imaging.RangeProfileSet(a.profiles.astype(np.complex64), 4, a.radar, a.aperture)
+        wide = imaging.RangeProfileSet(narrow.profiles.astype(np.complex128), 4, a.radar, a.aperture)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert backproject(narrow, grid).values.tobytes() == backproject(wide, grid).values.tobytes()
+
+    @pytest.mark.parametrize("change", ["radar", "aperture", "oversample"])
+    def test_sets_must_share_geometry(self, change):
+        echo = synthesize_echo(RADAR, linear_aperture(count=8), Scene(interferers=[Interferer(3.0)]))
+        a = range_compress(echo, 4)
+        other = {
+            "radar": lambda: imaging.RangeProfileSet(a.profiles, 4, RadarParams(9.1e9, RADAR.delta_f, 128),
+                                                     a.aperture),
+            "aperture": lambda: imaging.RangeProfileSet(a.profiles, 4, RADAR, linear_aperture(count=8, spacing=0.02)),
+            "oversample": lambda: range_compress(echo, 2),
+        }[change]()
+        with pytest.raises(ValueError, match="^profile sets imaged in one pass must share radar, aperture and oversample$"):
+            imaging._backproject((a, other), grid2d(2.8, 5, -0.05, 5))
 
 
 class TestPositionLoopMemory:
