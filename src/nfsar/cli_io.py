@@ -31,6 +31,7 @@ from .core_model import (
     RadarParams,
     Saturation,
     Scene,
+    _require_budget,
     _require_instance,
     _require_int,
     _require_real,
@@ -317,6 +318,8 @@ class PipelineConfig:
                           ("saturation", Saturation), ("solver", SolverConfig)):
             _require_instance(name, getattr(self, name), cls)
         self.oversample = _require_int("oversample", self.oversample, 1)
+        _require_budget("oversample: profile matrix", self.oversample * self.radar.num_freq,
+                        self.aperture.num_positions)
         self.seed = _require_int("seed", self.seed, 0)
         if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
             raise ValueError(f"output_dir: must be a non-empty path, got {self.output_dir!r}")
@@ -408,14 +411,14 @@ def _entry(filename: str, sha256: str, extents=None) -> dict:
     return e
 
 
-def _need(out: Path, artifacts: dict, filename: str, producer: str) -> tuple[np.ndarray, list]:
-    """Read an upstream array that this config's runs produced: (data, axes).
+def _need(out: Path, artifacts: dict, filename: str, producer: str) -> np.ndarray:
+    """Read an upstream array that this config's runs produced.
 
     artifacts holds the entries made under the current config hash, carried
     over from the manifest or added by an earlier stage of this run.  The
     file is read once; the sha256 of what was read, in its file encoding,
     must match the entry: another config's run may have rewritten it without
-    recording that in the manifest.
+    recording that in the manifest.  The digest covers the header's axes too.
     """
     path = out / filename
     if not path.exists():
@@ -438,7 +441,7 @@ def _need(out: Path, artifacts: dict, filename: str, producer: str) -> tuple[np.
             f"upstream artifact {filename!r} differs from the one stage {producer!r} recorded "
             f"(run stage {producer!r} again)"
         )
-    return data, axes
+    return data
 
 
 def _simulate_echo(config: PipelineConfig, scene: Scene) -> EchoData:
@@ -464,8 +467,7 @@ def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict, held: dic
 
 
 def stage_compress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    data, _ = _need(out, artifacts, ECHO_FILE, "simulate")
-    echo = EchoData(data, config.radar, config.aperture)
+    echo = EchoData(_need(out, artifacts, ECHO_FILE, "simulate"), config.radar, config.aperture)
     profiles = range_compress(echo, config.oversample)
     axes = [(0.0, profiles.tau_spacing), (0.0, 1.0)]
     sha256 = write_array(out / PROFILES_FILE, profiles.profiles, axes)
@@ -473,7 +475,7 @@ def stage_compress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
 
 
 def _load_profiles(config: PipelineConfig, out: Path, artifacts: dict) -> RangeProfileSet:
-    data, _ = _need(out, artifacts, PROFILES_FILE, "compress")
+    data = _need(out, artifacts, PROFILES_FILE, "compress")
     return RangeProfileSet(data, config.oversample, config.radar, config.aperture)
 
 
@@ -492,14 +494,12 @@ def stage_image(config: PipelineConfig, out: Path, artifacts: dict, held: dict) 
     return {"image": _entry(IMAGE_FILE, sha256, image.values.shape)}
 
 
-def _load_image(out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
-    data, axes = _need(out, artifacts, filename, producer)
-    grid = ImageGrid(tuple(GridAxis(start, spacing, int(n)) for (start, spacing), n in zip(axes, data.shape)))
-    return ComplexImage(data, grid)
+def _load_image(config: PipelineConfig, out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
+    return ComplexImage(_need(out, artifacts, filename, producer), config.grid)
 
 
 def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    image = _load_image(out, artifacts, IMAGE_FILE, "image")
+    image = _load_image(config, out, artifacts, IMAGE_FILE, "image")
     target, interference, results = decompose_image(image, config.solver)
     if not all(np.isfinite(r.objective_trace).all() for r in results):
         raise PipelineError("suppress: objective_trace is not finite (the objective overflows in the image's units)")
@@ -542,8 +542,8 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
 
 
 def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    raw = _load_image(out, artifacts, IMAGE_FILE, "image")
-    suppressed = _load_image(out, artifacts, TARGET_FILE, "suppress")
+    raw = _load_image(config, out, artifacts, IMAGE_FILE, "image")
+    suppressed = _load_image(config, out, artifacts, TARGET_FILE, "suppress")
     if "background" not in held:  # no image stage in this run imaged it
         held["background"] = _image_from_profiles(config, _background_profiles(config))
     reference = background_subtract(raw, held.pop("background"))
@@ -626,7 +626,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     if not ordered:
         raise PipelineError("no stage to run")
     # What the stages need of the config is checked before anything is written.
-    needs_grid = [s for s in ordered if s in ("image", "evaluate")]
+    needs_grid = [s for s in ordered if s in ("image", "suppress", "evaluate")]
     if config.grid is None and needs_grid:
         raise ConfigError(f"grid: required for the {needs_grid[0]} stage")
     if "evaluate" in ordered:

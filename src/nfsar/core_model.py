@@ -85,6 +85,13 @@ def _require_complex(name: str, value) -> complex:
     return value
 
 
+def _require_budget(name: str, rows: int, cols: int) -> None:
+    """Refuse a rows x cols sample matrix above MAX_ECHO_SAMPLES before it is allocated."""
+    if rows * cols > MAX_ECHO_SAMPLES:
+        raise ValueError(f"{name} {rows} x {cols} = {rows * cols} samples exceeds "
+                         f"the budget of {MAX_ECHO_SAMPLES} samples")
+
+
 def _require_vector(name: str, values) -> tuple[float, float, float]:
     values = tuple(_require_real(name, v) for v in values)
     if len(values) != 3:
@@ -251,8 +258,6 @@ class EchoData:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 2:
-            raise ValueError("samples must be a 2D matrix")
         expected = (self.radar.num_freq, self.aperture.num_positions)
         if self.samples.shape != expected:
             raise ValueError(
@@ -281,12 +286,7 @@ def synthesize_echo(
     _require_int("seed", seed, 0)
     _require_int("max_harmonic_order", max_harmonic_order, 1)
     n_slow = aperture.num_positions
-    n_total = radar.num_freq * n_slow
-    if n_total > MAX_ECHO_SAMPLES:
-        raise ValueError(
-            f"echo matrix {radar.num_freq} x {n_slow} = {n_total} samples exceeds "
-            f"the budget of {MAX_ECHO_SAMPLES} samples"
-        )
+    _require_budget("echo matrix", radar.num_freq, n_slow)
 
     positions = aperture.positions()
     freqs = radar.frequencies()[:, None]
@@ -346,11 +346,11 @@ def apply_saturation(echo: EchoData, sat: Saturation) -> EchoData:
         raise ValueError("echo contains non-finite samples")
     if sat.mode == "none":
         out = x.copy()
-    elif sat.mode == "hard_clip":
-        mag = np.abs(x)
-        scale = np.ones_like(mag)
-        over = mag > sat.threshold
-        scale[over] = sat.threshold / mag[over]
+    elif sat.mode == "hard_clip":  # x * min(threshold / |x|, 1), with one real temporary
+        scale = np.abs(x)
+        with np.errstate(divide="ignore"):  # |x| = 0 gives inf, then 1
+            np.divide(sat.threshold, scale, out=scale)
+        np.minimum(scale, 1.0, out=scale)
         out = x * scale
     else:  # polynomial
         out = polynomial_transfer(sat.coefficients, x)
@@ -439,16 +439,11 @@ def predict_harmonic_ranges(
                 for l in range(1, max_order - k + 1):
                     entries.append((k * float(rt) + l * float(ri), f"cross({k},{l})"))
 
-    entries.sort(key=lambda e: e[0])
-    scale = max(1.0, max(e[0] for e in entries))
-    tol = 1e-9 * scale
-    merged: list[HarmonicComponent] = []
-    i = 0
-    while i < len(entries):
-        j = i
-        while j + 1 < len(entries) and entries[j + 1][0] - entries[i][0] <= tol:
-            j += 1
-        labels = tuple(sorted({entries[k][1] for k in range(i, j + 1)}))
-        merged.append(HarmonicComponent(entries[i][0], labels))
-        i = j + 1
-    return merged
+    tol = 1e-9 * max(1.0, max(e[0] for e in entries))
+    groups: list[tuple[float, set[str]]] = []  # (the group's least range, its labels)
+    for apparent_range, label in sorted(entries):
+        if groups and apparent_range - groups[-1][0] <= tol:
+            groups[-1][1].add(label)
+        else:
+            groups.append((apparent_range, {label}))
+    return [HarmonicComponent(r, tuple(sorted(labels))) for r, labels in groups]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Aperture, EchoData, RadarParams, _require_int, _require_positive, _require_real
+from .core_model import Aperture, EchoData, RadarParams, _require_budget, _require_int, _require_positive, _require_real
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
@@ -62,8 +62,8 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     the bin nearest tau = 2R/c.  No window is applied.  Each profile column
     is contiguous: the transform runs over rows of the transposed echo.
     """
-    _require_int("oversample", oversample, 1)
-    nbins = oversample * echo.radar.num_freq
+    nbins = _require_int("oversample", oversample, 1) * echo.radar.num_freq
+    _require_budget("oversample: profile matrix", nbins, echo.aperture.num_positions)
     radar, aperture = echo.radar, echo.aperture
     rows = np.ascontiguousarray(echo.samples.T)
     del echo  # given the echo's only reference, it is freed before the profiles are allocated
@@ -72,28 +72,20 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     return RangeProfileSet(profiles.T, oversample, radar, aperture)
 
 
-def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, int]:
+def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Linearly interpolate one profile column at fractional bin indices.
 
-    The swath is the closed interval [0, last], last = len(col) - 1; indices
-    outside it give zero.  Returns (samples, number of such indices).
+    The swath is the closed interval [0, len(col) - 1]; indices outside it
+    give zero.
 
     bins, a float axis of the consecutive bins lo..hi, hands np.interp only
     col[lo:hi+1].  No index may lie below lo unless lo is 0, nor at or above
-    hi unless hi is last.  Then np.interp takes every sample from the same
-    two bins by the same arithmetic as over the whole column, so to the same
-    bits, and only a side of the swath that the window reaches needs a
-    counting pass.
+    hi unless hi is the last bin.  Then np.interp takes every sample from the
+    same two bins by the same arithmetic as over the whole column, so to the
+    same bits.
     """
-    last = col.shape[0] - 1
     lo, hi = int(bins[0]), int(bins[-1])
-    samples = np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
-    outside = 0
-    if lo == 0:
-        outside += int(np.count_nonzero(idx < 0))
-    if hi == last:
-        outside += int(np.count_nonzero(idx > last))
-    return samples, outside
+    return np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -242,8 +234,8 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
     """Back-project one or more profile sets onto one grid: one image each.
 
     The sets share radar, aperture and oversample, so a position's distances,
-    delay indices and carrier serve them all, and the out-of-swath count is
-    taken and warned once.  Each image is the same bytes as its set's alone.
+    delay indices, out-of-swath count and carrier serve them all, and the
+    pass warns once.  Each image is the same bytes as its set's alone.
 
     The grid is cut into contiguous slabs of range rows, one per thread.
     Each slab runs the whole position loop for its rows and accumulates in
@@ -311,16 +303,19 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
             np.add(dxy, dz2[n], out=dist)
             np.sqrt(dist, out=dist)
             delay_index(dist, idx)
+            if first == 0:  # only a side of the swath that the window reaches needs a count
+                oos += int(np.count_nonzero(idx < 0))
+            if final == last:
+                oos += int(np.count_nonzero(idx > last))
             _carrier(dist, steps_per_metre, carrier, work)
             for acc, s in zip(accs, sets):
-                sample, outside = _interpolate(s.profiles[:, n], idx, bins)
+                sample = _interpolate(s.profiles[:, n], idx, bins)
                 # Always carrier * sample: a complex product rounds differently
                 # with its operand order, and one fixed order keeps every voxel's
                 # sum, and so the image, the same bytes at any thread count.
                 np.multiply(carrier, sample, out=sample)
                 acc += sample
                 del sample  # freed before the next samples are made
-            oos += outside  # the same for every set: they share idx and bins
         return oos
 
     threads = _slab_count(grid.shape)

@@ -343,6 +343,19 @@ class TestFieldRules:
             run_pipeline(dataclasses.replace(config, scene=scene))
         assert not (tmp_path / "out").exists()
 
+    def test_oversample_over_the_sample_budget_is_a_config_error_at_load(self, tmp_path, capsys):
+        # 10**6 x 64 x 32 profile samples would ask the transform for about
+        # 32 GB.  Only simulate is asked for, so a config that loads runs no
+        # transform: it writes echo.nfsc and fails the last assertion.
+        cfg = pipeline_config(tmp_path / "out")
+        cfg["oversample"] = 10**6
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path), "--stages", "simulate"]) == 2
+        assert ("config error: oversample: profile matrix 64000000 x 32 = 2048000000 samples exceeds "
+                "the budget of 67108864 samples\n") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_big_int_in_a_file_is_a_config_error_at_load(self, tmp_path, capsys):
         cfg = pipeline_config(tmp_path / "out")
         cfg["oversample"] = BIG_INT
@@ -974,6 +987,14 @@ class TestBackgroundPass:
         assert passes == [2]
         assert [len(scene.targets) for scene in echoes] == [1, 0]
 
+    def test_evaluate_alone_images_its_background_in_a_one_set_pass(self, tmp_path, monkeypatch):
+        config = parse_config(pipeline_config(tmp_path / "out"))
+        run_pipeline(config, ["simulate", "compress", "image", "suppress"])
+        passes, echoes = self.count_calls(monkeypatch)
+        run_pipeline(config, ["evaluate"])
+        assert passes == [1]
+        assert [len(scene.targets) for scene in echoes] == [0]
+
     def test_image_without_evaluate_makes_no_background(self, tmp_path, monkeypatch):
         passes, echoes = self.count_calls(monkeypatch)
         run_pipeline(parse_config(pipeline_config(tmp_path / "out")), ["simulate", "compress", "image"])
@@ -1108,7 +1129,8 @@ class TestCli:
         assert "solver.auto_weights: mu and rho must both be set" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("stages, stage", [(None, "image"), ("simulate,compress,evaluate", "evaluate")])
+    @pytest.mark.parametrize("stages, stage", [(None, "image"), ("suppress", "suppress"),
+                                               ("simulate,compress,evaluate", "evaluate")])
     def test_grid_required_before_anything_is_written(self, tmp_path, capsys, stages, stage):
         path = self.write_config(tmp_path)
         cfg = json.loads(path.read_text())

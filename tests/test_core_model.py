@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,40 @@ class TestApplySaturation:
         echo.samples[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             apply_saturation(echo, Saturation(mode="none"))
+
+    def test_clip_edges_are_the_scale_of_the_magnitudes_above_the_threshold(self):
+        # 0, -0, the threshold itself and the next magnitude above it: the
+        # clip scales exactly the samples whose magnitude exceeds the threshold
+        thr = 2.0
+        values = np.array([0.0, complex(-0.0, -0.0), thr, -thr, 1j * thr, np.nextafter(thr, 3.0),
+                           3 + 4j, -0.5j], dtype=complex)
+        out = apply_saturation(self.make_echo(values), Saturation(mode="hard_clip", threshold=thr)).samples[:, 0]
+        mag = np.abs(values)
+        expected = values * np.where(mag > thr, thr / np.where(mag > thr, mag, 1.0), 1.0)
+        assert out.tobytes() == expected.tobytes()
+        assert np.abs(out[5]) <= thr
+
+    def test_clip_holds_one_real_temporary(self):
+        # |x| is the one echo-sized real array beside the output: the peak
+        # stays under 1.75 times the echo's bytes (a mask and a separate
+        # scale array took it to 2.19)
+        rng = np.random.default_rng(0)
+        echo = self.make_echo(rng.standard_normal(65536) + 1j * rng.standard_normal(65536))
+        tracemalloc.start()
+        try:
+            apply_saturation(echo, Saturation(mode="hard_clip", threshold=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * echo.samples.nbytes
+
+
+class TestEchoData:
+    @pytest.mark.parametrize("shape", [(16, 2), (16,), (16, 1, 1)], ids=["2d", "1d", "3d"])
+    def test_samples_of_another_shape_refused(self, shape):
+        # the shape check alone refuses an array that is not 2D
+        with pytest.raises(ValueError, match=rf"^samples shape \({shape[0]},.* does not match radar/aperture \(16, 1\)$"):
+            EchoData(np.zeros(shape, dtype=complex), small_radar(), single_position_aperture())
 
 
 class TestPolynomialTransfer:

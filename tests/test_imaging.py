@@ -17,7 +17,7 @@ from nfsar.core_model import (
     apply_saturation,
     synthesize_echo,
 )
-from nfsar import imaging
+from nfsar import core_model, imaging
 from nfsar.evaluation import singular_spectrum
 from nfsar.imaging import (
     ComplexImage,
@@ -57,7 +57,7 @@ def interpolate_profile(profiles, slow_time_index, tau):
     outside the closed swath [0, max tau]: the per-sample oracle that the
     imager is checked against."""
     col = profiles.profiles[:, slow_time_index]
-    return complex(imaging._interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float))[0])
+    return complex(imaging._interpolate(col, tau / profiles.tau_spacing, np.arange(len(col), dtype=float)))
 
 
 class TestRangeCompress:
@@ -141,6 +141,18 @@ class TestRangeCompress:
         with pytest.raises(ValueError, match=f"^oversample: must be an integer >= 1, got {oversample!r}$"):
             range_compress(echo, oversample)
 
+    def test_profiles_over_the_echo_budget_refused_before_the_transform(self, monkeypatch):
+        # The profiles hold oversample times the echo's samples, so they meet
+        # the echo's budget, here shrunk to below one oversampled profile set.
+        echo = synthesize_echo(RADAR, linear_aperture(count=3), Scene(interferers=[Interferer(2.0)]))
+        monkeypatch.setattr(core_model, "MAX_ECHO_SAMPLES", 4 * 128 * 3)
+        assert range_compress(echo, 4).profiles.shape == (512, 3)
+        monkeypatch.setattr(core_model, "MAX_ECHO_SAMPLES", 4 * 128 * 3 - 1)
+        monkeypatch.setattr(np.fft, "ifft", None)  # never reached
+        with pytest.raises(ValueError, match=r"^oversample: profile matrix 512 x 3 = 1536 samples exceeds "
+                                             r"the budget of 1535 samples$"):
+            range_compress(echo, 4)
+
 
 class TestInterpolateProfile:
     def make_profiles(self, oversample=8):
@@ -158,7 +170,7 @@ class TestInterpolateProfile:
 
     def test_kernel_matches_two_tap_formula(self):
         # the swath is the closed interval [0, nbins - 1]: the last bin is
-        # inside, anything past it or below 0 is zero and counted
+        # inside, anything past it or below 0 is zero
         col = self.make_profiles().profiles[:, 0]
         nbins = col.size
         rng = np.random.default_rng(3)
@@ -168,9 +180,7 @@ class TestInterpolateProfile:
         frac = idx[inside] - i0
         expected = np.zeros(idx.size, dtype=np.complex128)
         expected[inside] = col[i0] * (1.0 - frac) + col[i0 + 1] * frac
-        samples, outside = imaging._interpolate(col, idx, np.arange(nbins, dtype=float))
-        assert outside == idx.size - np.count_nonzero(inside)
-        assert 0 < outside < idx.size
+        samples = imaging._interpolate(col, idx, np.arange(nbins, dtype=float))
         assert np.abs(samples - expected).max() <= 1e-15 * np.abs(col).max()
         assert samples[-3] == col[0] and samples[-1] == col[-1]
 
