@@ -227,9 +227,9 @@ class TestApplySaturation:
         assert np.abs(out[5]) <= thr
 
     def test_clip_holds_one_real_temporary(self):
-        # |x| is the one echo-sized real array beside the output: the peak
-        # stays under 1.75 times the echo's bytes (a mask and a separate
-        # scale array took it to 2.19)
+        # |x| is the one echo-sized real array beside the output, so the peak
+        # is about 1.6 times the echo's bytes; a second real array would
+        # take it past 2
         rng = np.random.default_rng(0)
         echo = self.make_echo(rng.standard_normal(65536) + 1j * rng.standard_normal(65536))
         tracemalloc.start()
