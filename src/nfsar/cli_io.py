@@ -395,8 +395,8 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
     with _replacing(pgm_path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(pixels.tobytes())
-    with _replacing(csv_path) as fh:
-        np.savetxt(fh, db, fmt="%.6f", delimiter=",")
+    with _replacing(csv_path) as fh:  # np.savetxt's bytes, in one formatting call
+        fh.write(((",".join(["%.6f"] * w) + "\n") * h % tuple(db.ravel().tolist())).encode())
     return pgm_path, csv_path
 
 

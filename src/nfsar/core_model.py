@@ -265,6 +265,71 @@ class EchoData:
             )
 
 
+def _unit_circle_table(n: int) -> np.ndarray:
+    """exp(2j*pi*k/n) for k in [0, n), n a multiple of 4.
+
+    The sines of the first quadrant are taken in long double and rounded once,
+    from sin below pi/4 and cos above it; the other quadrants and the cosines
+    are the same numbers mirrored, so 0 and +-1 fall on their quadrant points
+    exactly.  Where long double has a 64-bit mantissa (x86), every part is
+    the correctly rounded float64 value for n = 4096.
+    """
+    quarter = n // 4
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.arange(quarter + 1, dtype=np.longdouble)
+    low = k <= quarter / 2
+    quadrant = np.where(low, np.sin(2 * pi * k / n), np.cos(2 * pi * (quarter - k) / n))
+    half = np.concatenate([quadrant, quadrant[-2:0:-1]]).astype(np.float64)  # sin, k in [0, n/2)
+    sin = np.concatenate([half, 0.0 - half])  # 0 - x, not -x: exp(j*pi) has a +0 imaginary part
+    return np.roll(sin, -quarter) + 1j * sin  # cos(2*pi*k/n) = sin(2*pi*(k + n/4)/n)
+
+
+# The phase exp(2j*pi*u) that synthesis applies and back-projection undoes is
+# looked up at the nearest of _CARRIER_STEPS points per turn and corrected by a
+# short polynomial (_carrier).  A power of two, so that scaling u by it is exact.
+_CARRIER_STEPS = 4096
+_CARRIER_TABLE = _unit_circle_table(_CARRIER_STEPS)
+
+
+def _carrier_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The work buffers _carrier takes for arrays of this shape."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.complex128)
+
+
+def _carrier(dist: np.ndarray, steps_per_metre: float | np.ndarray, out: np.ndarray, work: tuple) -> None:
+    """Write exp(2j*pi*u) into out, where u = dist * steps_per_metre / _CARRIER_STEPS.
+
+    dist and steps_per_metre broadcast to out's shape; work comes from
+    _carrier_work(out.shape).  With v = dist * steps_per_metre (exactly
+    _CARRIER_STEPS * u), k = rint(v) and x = 2*pi*(v - k) / _CARRIER_STEPS,
+    the carrier is _CARRIER_TABLE[k mod _CARRIER_STEPS] * (cos x + j sin x).
+    |x| <= pi/4096, where 1 - x^2/2 + x^4/24 and x - x^3/6 miss cos and sin by
+    under 3e-18.  Every step is elementwise: rounded multiplies and adds,
+    rint, an integer mask, a gather and one complex product, which numpy
+    forms alike at every offset of an array of two or more elements.  So an
+    element's bits do not depend on where it lies in the array, as they might
+    with libm's cos and sin, and an image is the same bytes whatever its split
+    into slabs.  The table is mirrored, so negated steps give the conjugate.
+    """
+    v, x2, index, poly = work
+    np.multiply(dist, steps_per_metre, out=v)
+    np.rint(v, out=x2)
+    v -= x2  # exact: v and rint(v) are within half a step
+    index[...] = x2
+    index &= _CARRIER_STEPS - 1
+    v *= 2.0 * np.pi / _CARRIER_STEPS  # x
+    np.multiply(v, v, out=x2)
+    np.multiply(x2, -1.0 / 6.0, out=poly.imag)
+    poly.imag += 1.0
+    poly.imag *= v
+    np.multiply(x2, 1.0 / 24.0, out=v)
+    v -= 0.5
+    v *= x2
+    np.add(v, 1.0, out=poly.real)
+    np.take(_CARRIER_TABLE, index, out=out, mode="clip")  # "clip" skips numpy's copy for "raise"
+    out *= poly
+
+
 def synthesize_echo(
     radar: RadarParams,
     aperture: Aperture,
@@ -277,8 +342,10 @@ def synthesize_echo(
     Each sample is the coherent sum of target terms
     amplitude * exp(-j*4*pi*f_m*R(position)/c) over targets, the analogous
     constant-range interferer terms, and optional seeded circular complex
-    noise.  Noise is drawn independently per slow-time column from a
-    counter-based stream so results do not depend on evaluation order.
+    noise.  The phase comes from _carrier, the unit-circle kernel with which
+    back-projection undoes it, within 1e-15 of exp at the rounded phase.
+    Noise is drawn independently per slow-time column from a counter-based
+    stream so results do not depend on evaluation order.
 
     max_harmonic_order scales the unambiguous-range check: harmonic analysis
     up to order k needs k times the largest scene range to stay unambiguous.
@@ -289,19 +356,17 @@ def synthesize_echo(
     _require_budget("echo matrix", radar.num_freq, n_slow)
 
     positions = aperture.positions()
-    freqs = radar.frequencies()[:, None]
-    phase_rate = -4j * np.pi / radar.c
-
+    # exp(-4j*pi*f*R/c) in _carrier's table steps: back-projection's at f0, negated.
+    steps_per_metre = (2.0 * radar.frequencies() / radar.c)[:, None] * -_CARRIER_STEPS
+    terms = [(t.amplitude, np.linalg.norm(positions - np.asarray(t.position), axis=1)) for t in scene.targets]
+    terms += [(i.amplitude, np.array([i.delay_range])) for i in scene.interferers]  # one column for all
     samples = np.zeros((radar.num_freq, n_slow), dtype=np.complex128)
-    max_range = 0.0
-    for tgt in scene.targets:
-        r = np.linalg.norm(positions - np.asarray(tgt.position), axis=1)
-        max_range = max(max_range, float(r.max()))
-        samples += tgt.amplitude * np.exp(phase_rate * freqs * r[None, :])
-    for itf in scene.interferers:
-        max_range = max(max_range, itf.delay_range)
-        samples += itf.amplitude * np.exp(phase_rate * freqs * itf.delay_range)
-
+    for amplitude, r in terms:
+        term = np.empty((radar.num_freq, r.size), dtype=np.complex128)
+        _carrier(r, steps_per_metre, term, _carrier_work(term.shape))
+        term *= amplitude
+        samples += term
+    max_range = max((float(r.max()) for _, r in terms), default=0.0)
     if max_range * max_harmonic_order >= radar.unambiguous_range:
         warnings.warn(
             f"scene range {max_range:.3f} m times harmonic order "

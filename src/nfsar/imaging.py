@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Aperture, EchoData, RadarParams, _require_budget, _require_int, _require_positive, _require_real
+from .core_model import (Aperture, EchoData, RadarParams, _CARRIER_STEPS, _carrier, _carrier_work, _require_budget,
+                         _require_int, _require_positive, _require_real)
 
 AXIS_NAMES = ("range", "azimuth", "height")
 
@@ -60,15 +61,15 @@ def range_compress(echo: EchoData, oversample: int = 8) -> RangeProfileSet:
     Zero-pads each column to oversample * num_freq and applies the inverse
     DFT, scaled so a unit-amplitude scatterer gives a unit-magnitude peak at
     the bin nearest tau = 2R/c.  No window is applied.  Each profile column
-    is contiguous: the transform runs over rows of the transposed echo.
+    is contiguous: the transform runs over rows of the transposed echo, which
+    is scaled by oversample on the way (a power of two scales exactly).
     """
     nbins = _require_int("oversample", oversample, 1) * echo.radar.num_freq
     _require_budget("oversample: profile matrix", nbins, echo.aperture.num_positions)
     radar, aperture = echo.radar, echo.aperture
-    rows = np.ascontiguousarray(echo.samples.T)
+    rows = np.multiply(echo.samples.T, oversample, order="C")
     del echo  # given the echo's only reference, it is freed before the profiles are allocated
     profiles = np.fft.ifft(rows, n=nbins, axis=-1)
-    profiles *= oversample
     return RangeProfileSet(profiles.T, oversample, radar, aperture)
 
 
@@ -147,71 +148,6 @@ class ComplexImage:
 _MIN_VOXELS_PER_THREAD = 16384
 
 
-def _unit_circle_table(n: int) -> np.ndarray:
-    """exp(2j*pi*k/n) for k in [0, n), n a multiple of 4.
-
-    The sines of the first quadrant are taken in long double and rounded once,
-    from sin below pi/4 and cos above it; the other quadrants and the cosines
-    are the same numbers mirrored, so 0 and +-1 fall on their quadrant points
-    exactly.  Where long double has a 64-bit mantissa (x86), every part is
-    the correctly rounded float64 value for n = 4096.
-    """
-    quarter = n // 4
-    pi = 4 * np.arctan(np.longdouble(1))
-    k = np.arange(quarter + 1, dtype=np.longdouble)
-    low = k <= quarter / 2
-    quadrant = np.where(low, np.sin(2 * pi * k / n), np.cos(2 * pi * (quarter - k) / n))
-    half = np.concatenate([quadrant, quadrant[-2:0:-1]]).astype(np.float64)  # sin, k in [0, n/2)
-    sin = np.concatenate([half, 0.0 - half])  # 0 - x, not -x: exp(j*pi) has a +0 imaginary part
-    return np.roll(sin, -quarter) + 1j * sin  # cos(2*pi*k/n) = sin(2*pi*(k + n/4)/n)
-
-
-# The carrier exp(2j*pi*u) is looked up at the nearest of _CARRIER_STEPS
-# points per turn and corrected by a short polynomial (_carrier).  A power of
-# two, so that scaling u by it is exact.
-_CARRIER_STEPS = 4096
-_CARRIER_TABLE = _unit_circle_table(_CARRIER_STEPS)
-
-
-def _carrier_work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The work buffers _carrier takes for arrays of this shape."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp),
-            np.empty(shape, dtype=np.complex128))
-
-
-def _carrier(dist: np.ndarray, steps_per_metre: float, out: np.ndarray, work: tuple) -> None:
-    """Write exp(2j*pi*u) into out, where u = dist * steps_per_metre / _CARRIER_STEPS.
-
-    work comes from _carrier_work(dist.shape).  With v = dist *
-    steps_per_metre (exactly _CARRIER_STEPS * u), k = rint(v) and
-    x = 2*pi*(v - k) / _CARRIER_STEPS, the carrier is
-    _CARRIER_TABLE[k mod _CARRIER_STEPS] * (cos x + j sin x).  |x| <= pi/4096,
-    where 1 - x^2/2 + x^4/24 and x - x^3/6 miss cos and sin by under 3e-18.
-    Every step is elementwise: rounded multiplies and adds, rint, an integer
-    mask, a gather and one complex product, which numpy forms alike at every
-    offset of an array of two or more elements.  So an element's bits do not
-    depend on where it lies in the array, as they might with libm's cos and
-    sin, and an image is the same bytes whatever its split into slabs.
-    """
-    v, x2, index, poly = work
-    np.multiply(dist, steps_per_metre, out=v)
-    np.rint(v, out=x2)
-    v -= x2  # exact: v and rint(v) are within half a step
-    index[...] = x2
-    index &= _CARRIER_STEPS - 1
-    v *= 2.0 * np.pi / _CARRIER_STEPS  # x
-    np.multiply(v, v, out=x2)
-    np.multiply(x2, -1.0 / 6.0, out=poly.imag)
-    poly.imag += 1.0
-    poly.imag *= v
-    np.multiply(x2, 1.0 / 24.0, out=v)
-    v -= 0.5
-    v *= x2
-    np.add(v, 1.0, out=poly.real)
-    np.take(_CARRIER_TABLE, index, out=out, mode="clip")  # "clip" skips numpy's copy for "raise"
-    out *= poly
-
-
 def _require_pairing(grid: ImageGrid, aperture: Aperture, prefix: str = "") -> None:
     """A 2D grid is imaged from a linear aperture, a 3D grid from a planar one."""
     kind = "linear" if grid.ndim == 2 else "planar"
@@ -260,8 +196,7 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
     c = profiles.radar.c
     inv_dtau = 1.0 / profiles.tau_spacing
     last = profiles.profiles.shape[0] - 1
-    # The carrier phase 4*pi*f0*R/c in turns is u = 2*f0*R/c; _carrier takes
-    # it in table steps.
+    # The carrier phase 4*pi*f0*R/c is u = 2*f0*R/c turns, in _carrier's table steps.
     steps_per_metre = _CARRIER_STEPS * (2.0 * profiles.radar.f0 / c)
     out = np.zeros((len(sets),) + grid.shape + (1,) * (3 - grid.ndim), dtype=np.complex128)
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import fcntl
 import hashlib
+import io
 import json
 import os
 import re
@@ -593,6 +594,20 @@ class TestExportDbImage:
         first_row = csv.read_text().splitlines()[0].split(",")
         assert float(first_row[0]) == pytest.approx(0.0)
         assert float(first_row[1]) == pytest.approx(-30.0, abs=1e-5)
+
+    def test_csv_is_the_bytes_of_savetxt(self, tmp_path, monkeypatch):
+        # The floor, the peak, a negative zero, two exact %.6f ties (k/128)
+        # and decimal halves that round to either side.
+        db = np.array([[-60.0, 0.0, -0.0, -0.0078125],
+                       [-0.0234375, -12.3456785, -59.9999995, -5e-7],
+                       [-1.0000005, -4.4999995, -0.0000004999, -33.3333335]])
+        monkeypatch.setattr(cli_io, "image_to_db", lambda image, floor_db: db.copy())
+        img = ComplexImage(np.ones(db.shape, dtype=complex), self.grid2(*db.shape))
+        _, csv = export_db_image(img, -60.0, tmp_path / "img")
+        expected = io.BytesIO()
+        np.savetxt(expected, db, fmt="%.6f", delimiter=",")
+        assert csv.read_bytes() == expected.getvalue()
+        assert csv.read_text().splitlines()[0] == "-60.000000,0.000000,-0.000000,-0.007812"
 
     def test_3d_requires_slice(self, tmp_path):
         # A volume is exported as its maximum projection along height.

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,29 @@ class TestSynthesizeEcho:
             expected = cmath.exp(-4j * cmath.pi * f * r / radar.c)
             assert abs(echo.samples[m, 0]) == pytest.approx(1.0, rel=1e-12)
             assert echo.samples[m, 0] == pytest.approx(expected, rel=1e-10)
+
+    def test_planar_scene_matches_direct_evaluation(self):
+        # Two targets and an interferer over a 3 x 2 planar aperture, each
+        # term on the phase kernel, against cmath.exp of the full phase; the
+        # interferer dominates, so no sum comes near zero.
+        radar = small_radar()
+        ap = Aperture(kind="planar", origin=(-0.05, 0.0, -0.02), azimuth_count=3, azimuth_spacing=0.05,
+                      height_count=2, height_spacing=0.04)
+        targets = [PointTarget((0.1, 3.0, 0.05), 1.0), PointTarget((-0.2, 4.25, -0.1), 1j)]
+        interferer = Interferer(2.5, 2.5 - 0.5j)
+        echo = synthesize_echo(radar, ap, Scene(targets=targets, interferers=[interferer])).samples
+        freqs, positions = radar.frequencies(), ap.positions()
+        for m, f in enumerate(freqs):
+            for n, p in enumerate(positions):
+                terms = [(t.amplitude, math.dist(p, t.position)) for t in targets]
+                terms.append((interferer.amplitude, interferer.delay_range))
+                expected = sum(a * cmath.exp(-4j * cmath.pi * f * r / radar.c) for a, r in terms)
+                assert echo[m, n] == pytest.approx(expected, rel=1e-10)
+        for term in targets:
+            alone = synthesize_echo(radar, ap, Scene(targets=[term])).samples
+            assert np.abs(alone) == pytest.approx(np.ones(alone.shape), rel=1e-12)
+        alone = synthesize_echo(radar, ap, Scene(interferers=[Interferer(2.5)])).samples
+        assert np.abs(alone) == pytest.approx(np.ones(alone.shape), rel=1e-12)
 
     def test_superposition_of_scenes(self):
         radar = small_radar()

@@ -122,10 +122,16 @@ class TestRangeCompress:
             range_compress(echo, 0)
 
     def test_profiles_are_the_scaled_inverse_transform_in_contiguous_columns(self):
+        # Compression scales the echo by oversample as it copies it; a power
+        # of two commutes with every rounding of the transform, so the
+        # profiles are the bytes of scaling its output, for a scene's echo
+        # and for a random one.
         echo = synthesize_echo(RADAR, linear_aperture(count=24), Scene(targets=[PointTarget((0.0, 3.0, 0.0))],
                                interferers=[Interferer(2.0)], noise_sigma=0.1), seed=4)
-        profiles = range_compress(echo, 8).profiles
-        assert profiles.tobytes() == (np.fft.ifft(echo.samples, 8 * RADAR.num_freq, axis=0) * 8).tobytes()
+        z = np.random.default_rng(8).standard_normal((2, RADAR.num_freq, 24)) * 100
+        for samples in (echo.samples, z[0] + 1j * z[1]):
+            profiles = range_compress(core_model.EchoData(samples, RADAR, echo.aperture), 8).profiles
+            assert profiles.tobytes() == (np.fft.ifft(samples, 8 * RADAR.num_freq, axis=0) * 8).tobytes()
         assert profiles.flags.f_contiguous and profiles[:, 5].flags.c_contiguous
 
     def test_complex64_profiles_are_kept(self):
@@ -250,7 +256,21 @@ class TestCarrier:
         err = np.hypot((got.real - np.cos(phase)).astype(float), (got.imag - np.sin(phase)).astype(float))
         assert err.max() <= 1e-15
         assert got[0] == 1
-        assert imaging._CARRIER_TABLE[:: imaging._CARRIER_STEPS // 4].tolist() == [1, 1j, -1, -1j]
+        assert core_model._CARRIER_TABLE[:: core_model._CARRIER_STEPS // 4].tolist() == [1, 1j, -1, -1j]
+
+    def test_negated_steps_give_the_bitwise_conjugate(self):
+        # Synthesis takes exp(-j*theta) from negated steps, back-projection
+        # exp(+j*theta) from the same steps.  Steps of +-1 hand _carrier v
+        # itself: random phases over many turns, every table point, and the
+        # ties of rint.  Only table points 0 and 2048 (phase 0 and pi) are left
+        # out: their imaginary part is +0 both ways, where conj gives -0.
+        table_points = np.setdiff1d(np.arange(-3 * 4096, 3 * 4096), np.arange(-6, 6) * 2048)
+        v = np.concatenate([np.random.default_rng(7).uniform(-1e7, 1e7, 100_000), table_points,
+                            table_points + 0.5, table_points + 2.0 ** -40])
+        plus, minus = np.empty(v.shape, dtype=complex), np.empty(v.shape, dtype=complex)
+        core_model._carrier(v, 1.0, plus, core_model._carrier_work(v.shape))
+        core_model._carrier(v, -1.0, minus, core_model._carrier_work(v.shape))
+        assert minus.tobytes() == plus.conj().tobytes()
 
     def test_same_bytes_on_any_slice(self):
         # Slabs hand back-projection parts of one grid; each voxel's carrier
