@@ -4,7 +4,8 @@ Configs are JSON; arrays travel in a small binary format ("NFSC") holding
 interleaved float32 complex samples plus per-axis start/spacing metadata.
 The pipeline runs simulate -> compress -> image -> suppress -> evaluate,
 with every stage reading its inputs from files so stages can be re-run in
-isolation.  A manifest records the config hash, seed, and every artifact.
+isolation.  A manifest records the config hash, the seed and six artifacts:
+echo, profiles, image, target, interference and report.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ DTYPE_COMPLEX64 = 0
 MAX_DIMS = 4
 MAX_TOTAL_ELEMENTS = 1 << 33
 
-STAGE_ORDER = ("simulate", "compress", "image", "suppress", "evaluate")
-
 ECHO_FILE = "echo.nfsc"
 PROFILES_FILE = "profiles.nfsc"
 IMAGE_FILE = "image_raw.nfsc"
@@ -70,6 +69,9 @@ INTERFERENCE_FILE = "interference.nfsc"
 REFERENCE_FILE = "reference.nfsc"
 REPORT_FILE = "report.txt"
 MANIFEST_FILE = "manifest.json"
+
+# The stage that writes each array file a later stage reads.
+_PRODUCERS = {ECHO_FILE: "simulate", PROFILES_FILE: "compress", IMAGE_FILE: "image", TARGET_FILE: "suppress"}
 
 
 class ConfigError(ValueError):
@@ -411,7 +413,7 @@ def _entry(filename: str, sha256: str, extents=None) -> dict:
     return e
 
 
-def _need(out: Path, artifacts: dict, filename: str, producer: str) -> np.ndarray:
+def _need(out: Path, artifacts: dict, filename: str) -> np.ndarray:
     """Read an upstream array that this config's runs produced.
 
     artifacts holds the entries made under the current config hash, carried
@@ -420,7 +422,7 @@ def _need(out: Path, artifacts: dict, filename: str, producer: str) -> np.ndarra
     must match the entry: another config's run may have rewritten it without
     recording that in the manifest.  The digest covers the header's axes too.
     """
-    path = out / filename
+    path, producer = out / filename, _PRODUCERS[filename]
     if not path.exists():
         raise PipelineError(
             f"missing upstream artifact {filename!r} (run stage {producer!r} first)"
@@ -467,7 +469,7 @@ def stage_simulate(config: PipelineConfig, out: Path, artifacts: dict, held: dic
 
 
 def stage_compress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    echo = EchoData(_need(out, artifacts, ECHO_FILE, "simulate"), config.radar, config.aperture)
+    echo = EchoData(_need(out, artifacts, ECHO_FILE), config.radar, config.aperture)
     profiles = range_compress(echo, config.oversample)
     axes = [(0.0, profiles.tau_spacing), (0.0, 1.0)]
     sha256 = write_array(out / PROFILES_FILE, profiles.profiles, axes)
@@ -475,12 +477,14 @@ def stage_compress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
 
 
 def _load_profiles(config: PipelineConfig, out: Path, artifacts: dict) -> RangeProfileSet:
-    data = _need(out, artifacts, PROFILES_FILE, "compress")
+    data = _need(out, artifacts, PROFILES_FILE)
     return RangeProfileSet(data, config.oversample, config.radar, config.aperture)
 
 
-def _write_image(path: Path, image: ComplexImage) -> str:
-    return write_array(path, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
+def _write_image(out: Path, filename: str, image: ComplexImage) -> dict:
+    """Write an image file; returns its manifest entry."""
+    sha256 = write_array(out / filename, image.values, [(ax.start, ax.spacing) for ax in image.grid.axes])
+    return _entry(filename, sha256, image.values.shape)
 
 
 def stage_image(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
@@ -489,22 +493,22 @@ def stage_image(config: PipelineConfig, out: Path, artifacts: dict, held: dict) 
         image, held["background"] = _backproject((_load_profiles(config, out, artifacts), background), config.grid)
     else:
         image = _image_from_profiles(config, _load_profiles(config, out, artifacts))
-    sha256 = _write_image(out / IMAGE_FILE, image)
+    entry = _write_image(out, IMAGE_FILE, image)
     export_db_image(image, config.floor_db, out / "image_raw_db")
-    return {"image": _entry(IMAGE_FILE, sha256, image.values.shape)}
+    return {"image": entry}
 
 
-def _load_image(config: PipelineConfig, out: Path, artifacts: dict, filename: str, producer: str) -> ComplexImage:
-    return ComplexImage(_need(out, artifacts, filename, producer), config.grid)
+def _load_image(config: PipelineConfig, out: Path, artifacts: dict, filename: str) -> ComplexImage:
+    return ComplexImage(_need(out, artifacts, filename), config.grid)
 
 
 def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    image = _load_image(config, out, artifacts, IMAGE_FILE, "image")
+    image = _load_image(config, out, artifacts, IMAGE_FILE)
     target, interference, results = decompose_image(image, config.solver)
     if not all(np.isfinite(r.objective_trace).all() for r in results):
         raise PipelineError("suppress: objective_trace is not finite (the objective overflows in the image's units)")
-    target_sha256 = _write_image(out / TARGET_FILE, target)
-    interference_sha256 = _write_image(out / INTERFERENCE_FILE, interference)
+    entries = {"target": _write_image(out, TARGET_FILE, target),
+               "interference": _write_image(out, INTERFERENCE_FILE, interference)}
     slices = [
         {
             "mu": r.mu,
@@ -535,19 +539,16 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
     _write_text(out / "objective_trace.csv", "slice,iteration,objective,rank_c,nnz_x,rel_gap\n" + "".join(rows))
     export_db_image(target, config.floor_db, out / "target_db")
     export_db_image(interference, config.floor_db, out / "interference_db")
-    return {
-        "target": _entry(TARGET_FILE, target_sha256, target.values.shape),
-        "interference": _entry(INTERFERENCE_FILE, interference_sha256, interference.values.shape),
-    }
+    return entries
 
 
 def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict, held: dict) -> dict:
-    raw = _load_image(config, out, artifacts, IMAGE_FILE, "image")
-    suppressed = _load_image(config, out, artifacts, TARGET_FILE, "suppress")
+    raw = _load_image(config, out, artifacts, IMAGE_FILE)
+    suppressed = _load_image(config, out, artifacts, TARGET_FILE)
     if "background" not in held:  # no image stage in this run imaged it
         held["background"] = _image_from_profiles(config, _background_profiles(config))
     reference = background_subtract(raw, held.pop("background"))
-    _write_image(out / REFERENCE_FILE, reference)
+    _write_image(out, REFERENCE_FILE, reference)
 
     try:
         report = suppression_metrics(
@@ -572,6 +573,7 @@ STAGE_FUNCS = {
     "suppress": stage_suppress,
     "evaluate": stage_evaluate,
 }
+STAGE_ORDER = tuple(STAGE_FUNCS)
 
 
 @contextlib.contextmanager

@@ -202,13 +202,13 @@ def suppression_metrics(
     if not interference_mask.any():
         raise ValueError("interference region mask is empty")
 
+    sup_energy = sup_mag**2
     raw_int = float(energy[interference_mask].sum())
-    sup_int = float((sup_mag[interference_mask] ** 2).sum())
+    sup_int = float(sup_energy[interference_mask].sum())
     residual_db = 10.0 * np.log10(max(sup_int, ENERGY_FLOOR * raw_int) / raw_int)
 
     off_mask = ~target_mask
     raw_sinr = energy[target_mask].sum() / max(energy[off_mask].sum(), ENERGY_FLOOR)
-    sup_energy = sup_mag**2
     sup_sinr = sup_energy[target_mask].sum() / max(
         sup_energy[off_mask].sum(), ENERGY_FLOOR * sup_energy.sum() + ENERGY_FLOOR
     )

@@ -80,10 +80,9 @@ def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> np.ndarr
     give zero.
 
     bins, a float axis of the consecutive bins lo..hi, hands np.interp only
-    col[lo:hi+1].  No index may lie below lo unless lo is 0, nor at or above
-    hi unless hi is the last bin.  Then np.interp takes every sample from the
-    same two bins by the same arithmetic as over the whole column, so to the
-    same bits.
+    col[lo:hi+1].  No index may lie below lo, nor at or above hi unless hi is
+    the last bin.  Then np.interp takes every sample from the same two bins
+    by the same arithmetic as over the whole column, so to the same bits.
     """
     lo, hi = int(bins[0]), int(bins[-1])
     return np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
@@ -238,9 +237,7 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
             np.add(dxy, dz2[n], out=dist)
             np.sqrt(dist, out=dist)
             delay_index(dist, idx)
-            if first == 0:  # only a side of the swath that the window reaches needs a count
-                oos += int(np.count_nonzero(idx < 0))
-            if final == last:
+            if final == last:  # a delay is never negative: only the far end needs a count
                 oos += int(np.count_nonzero(idx > last))
             _carrier(dist, steps_per_metre, carrier, work)
             for acc, s in zip(accs, sets):

@@ -360,9 +360,8 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             gap = value - (theta * np.vdot(resid, i_mat).real - 0.5 * theta**2 * r_sq)
             return x_new, c_new, s, u, vh, value, float(gap / value) if value else 0.0
 
-        x = np.zeros_like(i_mat)
+        # Step 1 has weight 0, so reads no C_prev; max_iter >= 1 sets x and iterations.
         c = np.zeros_like(i_mat)
-        c_prev = c
         t = 1.0
         trace: list[float] = []
         rank_c: list[int] = []
@@ -370,7 +369,6 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
         rel_gap: list[float] = []
         restarts = 0
         converged = False
-        iterations = 0
         for iterations in range(1, cfg.max_iter + 1):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             weight = (t - 1.0) / t_next

@@ -102,6 +102,8 @@ class TestLoadConfig:
         path.write_text('{"radar": }')
         with pytest.raises(ConfigError, match=r"line 1, column 11"):
             load_config(path)
+        with pytest.raises(ConfigError, match=r"^cannot read config: "):
+            load_config(tmp_path / "missing.json")
 
     def test_unknown_field_rejected(self):
         cfg = minimal_config()
@@ -188,7 +190,9 @@ class TestLoadConfig:
         ("floor_db", lambda nan: dataclasses.replace(parse_config(minimal_config()), floor_db=nan)),
         ("floor_db", lambda nan: image_to_db(
             ComplexImage(np.ones((2, 2)), ImageGrid((GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2)))), nan)),
-    ], ids=["noise_sigma", "threshold", "coefficients", "mu", "rho", "tol", "floor_db", "image_to_db"])
+        ("amplitude", lambda nan: PointTarget((0.0, 1.0, 0.0), complex(nan, 1.0))),
+    ], ids=["noise_sigma", "threshold", "coefficients", "mu", "rho", "tol", "floor_db", "image_to_db",
+            "complex-amplitude"])
     def test_api_rejects_nan(self, field, make):
         # The dataclasses refuse NaN, so a config file and the API share one rule.
         with pytest.raises(ValueError, match=f"^{field}: must be finite"):
@@ -211,6 +215,19 @@ class TestLoadConfig:
         ("aperture", "height_count", 2, "aperture.height_count: must be 1"),
         ("solver", "max_iter", 0, "solver.max_iter: must be an integer >= 1, got 0"),
         ("scene", "targets", [{"position": [0.0, -1.0, 0.0]}], r"scene.targets\[0\].position: must lie"),
+        ("aperture", "origin", [0.0, 0.0], r"aperture.origin: must be a 3-vector$"),
+        ("aperture", "origin", 0.0, r"aperture.origin: expected a list$"),
+        ("scene", "targets", {}, r"scene.targets: expected a list$"),
+        ("scene", "targets", [5], r"scene.targets\[0\]: expected an object$"),
+        ("grid", "range", [1.8, 0.025, 17], r"grid.range: expected an object$"),
+        ("scene", "targets", [{"position": [0.0, 2.0, 0.0], "amplitude": [1.0]}],
+         r"scene.targets\[0\].amplitude: expected a number or \[real, imag\] pair$"),
+        ("scene", "targets", [{"position": [0.0, 2.0, 0.0], "amplitude": [1.0, 2.0, 3.0]}],
+         r"scene.targets\[0\].amplitude: expected a number or \[real, imag\] pair$"),
+        ("scene", "targets", [{"position": [0.0, 2.0, 0.0], "amplitude": [1.0, "2"]}],
+         r"scene.targets\[0\].amplitude\[1\]: must be a real number, got '2'$"),
+        ("saturation", "threshold", None, r"saturation.threshold: must be > 0 in hard_clip mode$"),
+        ("saturation", "mode", "polynomial", r"saturation.coefficients: must be non-empty in polynomial mode$"),
     ])
     def test_range_error_names_field_path(self, section, key, value, expected):
         cfg = pipeline_config("out")
@@ -508,6 +525,11 @@ class TestArrayFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(ArrayFormatError, match="truncated payload"):
             read_array(path)
+        # The fixed fields, the extents and the axes of a rank-2 header end at 16, 32 and 64 bytes.
+        for end in (15, 31, 63):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ArrayFormatError, match="^truncated header$"):
+                read_array(path)
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "m.nfsc"
@@ -560,10 +582,19 @@ class TestArrayFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(ArrayFormatError, match="dtype"):
             read_array(path)
+        raw[8] = 0
+        for ndim in (0, 5):
+            raw[12] = ndim
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ArrayFormatError, match=f"^unsupported dimension count {ndim}$"):
+                read_array(path)
 
     def test_rank_limit(self, tmp_path):
         with pytest.raises(ArrayFormatError, match="rank"):
             write_array(tmp_path / "x.nfsc", np.zeros((2, 2, 2, 2, 2), dtype=np.complex64), [(0.0, 1.0)] * 5)
+        with pytest.raises(ArrayFormatError, match="^axes metadata must match array rank$"):
+            write_array(tmp_path / "x.nfsc", np.zeros((2, 2), dtype=np.complex64), [(0.0, 1.0)])
+        assert not (tmp_path / "x.nfsc").exists()
 
     def test_extent_overflow_rejected(self, tmp_path):
         import struct
@@ -573,6 +604,9 @@ class TestArrayFormat:
         header += struct.pack("<dd", 0.0, 1.0)
         path.write_bytes(header)
         with pytest.raises(ArrayFormatError, match="extent overflow"):
+            read_array(path)
+        path.write_bytes(b"NFSC" + struct.pack("<III", 1, 0, 1) + struct.pack("<Q", 0) + struct.pack("<dd", 0.0, 1.0))
+        with pytest.raises(ArrayFormatError, match="^zero extent$"):
             read_array(path)
 
 

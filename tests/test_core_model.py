@@ -314,6 +314,9 @@ class TestFitClipperPolynomial:
             fit_clipper_polynomial(threshold=1.0, order=0, sample_count=10)
         with pytest.raises(ValueError):
             fit_clipper_polynomial(threshold=1.0, order=5, sample_count=5)
+        # A degree-24 Vandermonde matrix on 25 points of [0, 1] is rank-deficient in float64.
+        with pytest.raises(ValueError, match="^degenerate normal equations in clipper fit$"):
+            fit_clipper_polynomial(threshold=1.0, order=24, sample_count=25)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"order": 2.5}, "order: must be an integer >= 1, got 2.5"),

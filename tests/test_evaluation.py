@@ -26,6 +26,7 @@ from nfsar.imaging import ComplexImage, GridAxis, ImageGrid, backproject_2d, ran
 class TestPeakDetect:
     def test_monotone_array_has_no_peaks(self):
         assert len(peak_detect(np.linspace(-40, 0, 100), 30.0, 1)) == 0
+        assert len(peak_detect(np.array([-1.0, 0.0]), 30.0, 1)) == 0  # fewer than 3 samples
 
     def test_sinc_mainlobe_single_peak(self):
         x = np.linspace(-8.0, 8.0, 3201)
@@ -74,6 +75,8 @@ class TestPeakDetect:
             peak_detect(v, 0.0, 1)
         with pytest.raises(ValueError):
             peak_detect(v, 10.0, 1, axis=axis[:-1])
+        with pytest.raises(ValueError, match=r"^peak magnitudes must be <= 0 dB \(relative to max\)$"):
+            PeakList([Peak(0.0, -1.0), Peak(1.0, 0.5)])
 
     def test_nan_prominence_rejected(self):
         with pytest.raises(ValueError, match="^min_prominence_db: must be finite"):
@@ -187,6 +190,11 @@ class TestSingularSpectrum:
         sv = singular_spectrum(img)
         assert sv[1] / sv[0] < 0.05
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ValueError, match="^singular_spectrum expects a 2D matrix; unfold volumes first$"):
+            singular_spectrum(np.ones(shape))
+
 
 class TestSuppressionMetrics:
     def setup_images(self):
@@ -244,6 +252,12 @@ class TestSuppressionMetrics:
         raw, _ = self.setup_images()
         with pytest.raises(ValueError, match="outside"):
             suppression_metrics(raw, raw, raw, [(5.0, 9.0, 0.0)])
+        with pytest.raises(ValueError, match="^at least one target position is required$"):
+            suppression_metrics(raw, raw, raw, [])
+        shifted = ImageGrid((GridAxis(2.0, 0.05, 21), GridAxis(-0.45, 0.05, 21)))
+        for images in [(ComplexImage(raw.values, shifted), raw), (raw, ComplexImage(raw.values, shifted))]:
+            with pytest.raises(ValueError, match="^suppression_metrics requires identical grids$"):
+                suppression_metrics(raw, *images, [(0.0, 2.5, 0.0)])
 
     @pytest.mark.parametrize("guard_cells", [-1, 2.5, True])
     def test_guard_cells_must_be_a_nonnegative_integer(self, guard_cells):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -120,6 +121,11 @@ class TestRangeCompress:
         echo = synthesize_echo(RADAR, one_position(), Scene())
         with pytest.raises(ValueError):
             range_compress(echo, 0)
+        profiles = range_compress(echo, 4).profiles
+        with pytest.raises(ValueError, match=r"^profile bin count must equal oversample \* num_freq$"):
+            imaging.RangeProfileSet(profiles, 2, RADAR, one_position())
+        with pytest.raises(ValueError, match="^profile column count must match aperture positions$"):
+            imaging.RangeProfileSet(profiles, 4, RADAR, linear_aperture(count=2))
 
     def test_profiles_are_the_scaled_inverse_transform_in_contiguous_columns(self):
         # Compression scales the echo by oversample as it copies it; a power
@@ -300,6 +306,9 @@ class TestImageGrid:
     def test_only_2d_and_3d_grids(self, ndim):
         with pytest.raises(ValueError, match="imaging needs a 2D or 3D grid"):
             ImageGrid(tuple(GridAxis(0.0, 1.0, 5) for _ in range(ndim)))
+        shape = (5,) * ndim
+        with pytest.raises(ValueError, match=rf"^image shape {re.escape(str(shape))} does not match grid \(5, 5\)$"):
+            ComplexImage(np.zeros(shape), grid2d(0.0, 5, 0.0, 5))
 
 
 class TestBackproject2d:
@@ -573,6 +582,42 @@ class TestSlabThreads:
 class TestBackprojectReference:
     """Every voxel and the out-of-swath count against brute force."""
 
+    @staticmethod
+    def case(monkeypatch, ndim, cpus, range_start, scene):
+        """Profiles of scene, and a grid from range_start that slabs of two or three rows cut, one per CPU."""
+        monkeypatch.setattr(imaging, "_MIN_VOXELS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if ndim == 3:
+            aperture = planar_aperture(count=3, spacing=0.05)
+            grid = ImageGrid((GridAxis(range_start, 0.07, 6), GridAxis(-0.06, 0.03, 5),
+                              GridAxis(-0.06, 0.03, 4)))
+            backproject = backproject_3d
+        else:
+            aperture = linear_aperture(count=5, spacing=0.05)
+            grid = grid2d(range_start, 9, -0.09, 7, spacing=0.045)
+            backproject = backproject_2d
+        assert imaging._slab_count(grid.shape) == cpus
+        return range_compress(synthesize_echo(RADAR, aperture, scene, seed=2), 4), grid, backproject
+
+    @staticmethod
+    def brute_force(profiles, grid):
+        """The image voxel by voxel, the number of its delays beyond the swath and the number in the last bin."""
+        aperture = profiles.aperture
+        axes = [ax.values() for ax in grid.axes]
+        max_tau = profiles.tau_axis[-1]
+        expected = np.zeros(grid.shape, dtype=np.complex128)
+        beyond = in_last_bin = 0
+        for voxel in np.ndindex(grid.shape):
+            y, x = axes[0][voxel[0]], axes[1][voxel[1]]
+            z = axes[2][voxel[2]] if grid.ndim == 3 else aperture.origin[2]
+            for n, (px, py, pz) in enumerate(aperture.positions()):
+                r = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
+                tau = 2 * r / C
+                beyond += tau > max_tau
+                in_last_bin += profiles.tau_axis[-2] < tau <= max_tau
+                expected[voxel] += interpolate_profile(profiles, n, tau) * np.exp(4j * np.pi * RADAR.f0 * r / C)
+        return expected / aperture.num_positions, beyond, in_last_bin
+
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_every_voxel_and_the_out_of_swath_count(self, monkeypatch, ndim, cpus):
@@ -580,46 +625,43 @@ class TestBackprojectReference:
         # range axis straddles the swath's far end, so the last slab's window
         # ends on the last bin while the others end short of it; each
         # window's first bin holds its slab's nearest voxel.
-        monkeypatch.setattr(imaging, "_MIN_VOXELS_PER_THREAD", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         r_u = RADAR.unambiguous_range
         scene = Scene(targets=[PointTarget((0.01, r_u - 0.25, 0.0))],
                       interferers=[Interferer(r_u - 0.15)], noise_sigma=0.05)
-        if ndim == 3:
-            aperture = planar_aperture(count=3, spacing=0.05)
-            grid = ImageGrid((GridAxis(r_u - 0.3, 0.07, 6), GridAxis(-0.06, 0.03, 5),
-                              GridAxis(-0.06, 0.03, 4)))
-            backproject = backproject_3d
-        else:
-            aperture = linear_aperture(count=5, spacing=0.05)
-            grid = grid2d(r_u - 0.3, 9, -0.09, 7, spacing=0.045)
-            backproject = backproject_2d
-        assert imaging._slab_count(grid.shape) == cpus
-        profiles = range_compress(synthesize_echo(RADAR, aperture, scene, seed=2), 4)
+        profiles, grid, backproject = self.case(monkeypatch, ndim, cpus, r_u - 0.3, scene)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             image = backproject(profiles, grid).values
 
-        positions = aperture.positions()
-        axes = [ax.values() for ax in grid.axes]
-        max_tau = profiles.tau_axis[-1]
-        expected = np.zeros(grid.shape, dtype=np.complex128)
-        beyond = in_last_bin = 0
-        for voxel in np.ndindex(grid.shape):
-            y, x = axes[0][voxel[0]], axes[1][voxel[1]]
-            z = axes[2][voxel[2]] if ndim == 3 else aperture.origin[2]
-            for n, (px, py, pz) in enumerate(positions):
-                r = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
-                tau = 2 * r / C
-                beyond += tau > max_tau
-                in_last_bin += profiles.tau_axis[-2] < tau <= max_tau
-                expected[voxel] += interpolate_profile(profiles, n, tau) * np.exp(4j * np.pi * RADAR.f0 * r / C)
-        expected /= len(positions)
+        expected, beyond, in_last_bin = self.brute_force(profiles, grid)
         assert np.abs(image - expected).max() <= 1e-12 * np.abs(image).max()
-        total = image.size * len(positions)
+        total = image.size * profiles.aperture.num_positions
         assert 0 < beyond < total and in_last_bin > 0
         (record,) = caught
         assert str(record.message) == f"{beyond} of {total} voxel contributions fell outside the swath and were zeroed"
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_every_voxel_from_the_aperture_line(self, monkeypatch, ndim, cpus):
+        # The range axis starts on the aperture line and one voxel sits on a
+        # scan position, so the first slab's window begins at bin 0: the near
+        # end of the swath, which no delay passes.
+        scene = Scene(targets=[PointTarget((0.01, 0.2, 0.0))], interferers=[Interferer(0.15)], noise_sigma=0.05)
+        profiles, grid, backproject = self.case(monkeypatch, ndim, cpus, 0.0, scene)
+        windows = []
+        interpolate = imaging._interpolate
+        monkeypatch.setattr(imaging, "_interpolate", lambda col, idx, bins: windows.append(int(bins[0]))
+                            or interpolate(col, idx, bins))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            image = backproject(profiles, grid).values
+        monkeypatch.setattr(imaging, "_interpolate", interpolate)  # the oracle's whole-column calls are not windows
+        assert caught == []
+        assert 0 in windows and len(set(windows)) == cpus
+
+        expected, beyond, _ = self.brute_force(profiles, grid)
+        assert beyond == 0
+        assert np.abs(image - expected).max() <= 1e-12 * np.abs(image).max()
 
 
 class TestBackprojectSets:

@@ -134,6 +134,9 @@ class TestObjective:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             objective(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), 1.0, 1.0)
+        for update in (update_target, update_interference):
+            with pytest.raises(ValueError, match=f"^{update.__name__} requires matching matrix dimensions$"):
+                update(np.zeros((2, 3)), np.zeros((3, 2)), 1.0)
 
 
 NAN = float("nan")
@@ -398,6 +401,15 @@ class TestSvtKernel:
         assert svd_calls == [m.shape]
         assert np.abs(c - expected).max() <= 1e-12 * sigma1
 
+    def test_svd_failure_names_the_matrix_shape(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        message = "^SVD failed to converge on a 12x30 matrix: SVD did not converge$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            _svt(svt_cases()["wide"], 0.0)  # a zero threshold takes the SVD route
+
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_gram_that_overflows_or_underflows_takes_svd_path(self, scale, svd_calls):
         m = svt_cases()["tall"] * scale
@@ -561,6 +573,15 @@ class TestDecompose:
         assert res.rel_gap == [pytest.approx(0.0, abs=1e-15)]
         assert np.array_equal(res.target, x_star)
         assert not np.any(res.interference)
+
+    def test_one_iteration_is_the_first_target_step(self):
+        # The first step has momentum weight 0: it starts from C = 0 and reads no earlier iterate.
+        i = low_rank_plus_spikes(np.random.default_rng(31), (12, 40))
+        res = decompose(i, SolverConfig(mu=0.1, rho=1.0, auto_weights=False, max_iter=1))
+        assert res.iterations_run == 1 and not res.converged
+        assert len(res.objective_trace) == len(res.rank_c) == len(res.nnz_x) == len(res.rel_gap) == 1
+        expected = update_target(np.zeros_like(i), i, 0.1)
+        assert np.abs(res.target - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_target_and_trace_are_the_iteration_and_rank_is_the_last_svt(self):
         rng = np.random.default_rng(21)
