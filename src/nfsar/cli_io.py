@@ -514,6 +514,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
             "mu": r.mu,
             "rho": r.rho,
             "iterations": r.iterations_run,
+            "warm_steps": r.warm_steps,
             "converged": r.converged,
             "residual_norm": r.residual_norm,
             "restarts": r.restarts,
@@ -525,6 +526,7 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
         "mu": results[0].mu,
         "rho": results[0].rho,
         "iterations": sum(r.iterations_run for r in results),
+        "warm_steps": sum(r.warm_steps for r in results),
         "converged": all(r.converged for r in results),
         "rel_gap": max(r.rel_gap[-1] for r in results),
         "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),

@@ -23,6 +23,15 @@ rounding.  The iteration stops on a certificate: the gap between the
 objective and the Fenchel dual's value at a scaled copy of the step's
 residual, relative to the objective (see decompose).
 
+The accelerated iteration starts from a C found by continuation on the
+weights (Lin, Ganesh, Wright, Wu, Chen & Ma 2009; Toh & Yun 2010): a few
+plain steps with mu and rho both scaled by s > 1, s shrinking geometrically
+towards 1.  At large s the answer is of low rank and sparse, so these steps
+are cheap, and each starts near the next one's answer.  The certificate
+bounds the distance of the returned iterate from the minimum whatever the
+start, so the start changes the path and the iteration count, not what a
+converged result guarantees.
+
 The convex problem selects the model and least squares estimates it: X and
 the objective trace are those of the iteration, while the returned C is the
 rank-r truncated SVD of I - X, r being the rank the last thresholding step
@@ -77,6 +86,8 @@ class DecompositionResult:
     target and objective_trace belong to the accelerated iteration, one
     trace entry per accepted iterate, in the input's units (an entry that
     overflows there is inf; one that underflows is 0 or subnormal).
+    warm_steps counts the continuation steps before it, which enter none
+    of the per-iteration lists and do not count toward max_iter.
     interference is the rank-r truncated SVD of I - X for that X, r being
     the rank the last thresholding step kept.  restarts counts the
     extrapolated steps thrown away; rank_c, nnz_x and rel_gap give, per
@@ -97,6 +108,7 @@ class DecompositionResult:
     rank_c: list[int]
     nnz_x: list[int]
     rel_gap: list[float]
+    warm_steps: int
 
 
 def objective(interfered, target, interference, mu: float, rho: float) -> float:
@@ -224,11 +236,11 @@ def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.nda
 # previous one by more than this many ulps of it.  Once the iteration
 # stalls, successive objectives differ by rounding alone, and restarting on
 # that noise only costs a second factorization per step.  At tol=1e-300,
-# iterations 100-400, the largest such rise was 12 ulps on the 105x97
-# benchmark image, 10 on the 41x961 benchmark volume and 10 on 12x40 to
-# 40x12 matrices (8 on most), so some noise still restarts.  The benchmark
-# scenes' restarts at the default tol, the smallest at 17 to 22 ulps, are
-# all kept.
+# once the objective is within 64 ulps of its value at iteration 400, the
+# largest such rise was 15 ulps on the 105x97 benchmark image and 29 on the
+# 41x961 benchmark volume (7 on both past iteration 100), and 6 on 12x40 and
+# 40x12 matrices, so some noise still restarts.  The benchmark scenes'
+# restarts at the default tol, the smallest at 3,023 ulps, are all kept.
 _RESTART_ULPS = 8
 
 
@@ -298,7 +310,15 @@ def _one_blas_thread():
 
 
 def decompose(interfered, config: SolverConfig | None = None) -> DecompositionResult:
-    """Run the accelerated proximal iteration from X = C = 0.
+    """Run the accelerated proximal iteration from a warm start by continuation.
+
+    The start C comes from plain steps X = update_target(C, I, s*mu), C =
+    SVT(I - X, s*rho), from C = 0 with s = 0.99*sigma_1(I)/rho, s shrinking
+    by 0.7 while it exceeds 1.  From about s = sigma_1(I)/rho up, the
+    scaled problem's C is 0, so s_0 starts just below that.  A zero input,
+    or rho at least sigma_1(I)/0.99, takes no such step.  These warm steps
+    are counted in warm_steps only: they enter no per-iteration list and do
+    not count toward max_iter.
 
     Each iteration extrapolates Y = C + ((t_{k-1} - 1)/t_k)(C - C_prev),
     with t_0 = 1 and t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2, then takes
@@ -321,10 +341,12 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
     min(1, mu / max|R|) is feasible, and the gap between the objective P and
     the dual value at theta*R bounds P's distance from the minimum.  The
     iteration stops once that gap is at most config.tol * P, or after
-    config.max_iter iterations.  The returned target and objective trace are
-    the iteration's; the returned interference is the last low-rank step's
-    input I - X truncated to the rank that step kept, with its singular
-    values unshrunk, and residual_norm is measured against it.
+    config.max_iter iterations.  The bound holds for any iterate, so the
+    certificate needs nothing of the start.  The returned target and
+    objective trace are the iteration's; the returned interference is the
+    last low-rank step's input I - X truncated to the rank that step kept,
+    with its singular values unshrunk, and residual_norm is measured
+    against it.
 
     The weights and the iteration run with numpy's OpenBLAS held at one
     thread, so the result is the same bits whatever its pool size.
@@ -360,8 +382,20 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             gap = value - (theta * np.vdot(resid, i_mat).real - 0.5 * theta**2 * r_sq)
             return x_new, c_new, s, u, vh, value, float(gap / value) if value else 0.0
 
-        # Step 1 has weight 0, so reads no C_prev; max_iter >= 1 sets x and iterations.
+        # Continuation: plain steps at both weights times s, from s0 = 0.99*sigma_1/rho (from
+        # about sigma_1/rho up, C = 0 is their answer) down by 0.7 while s > 1.  sigma_1 from the
+        # small Gram matrix: norm(I, 2)'s full SVD raised volume3d's peak RSS by about 0.3 MB.
         c = np.zeros_like(i_mat)
+        warm_steps = 0
+        if peak and rho_n:
+            a = i_mat if i_mat.shape[0] <= i_mat.shape[1] else i_mat.T
+            scale = 0.99 * math.sqrt(np.linalg.eigvalsh(a @ a.conj().T)[-1]) / rho_n
+            while scale > 1.0:
+                c = _svt(i_mat - update_target(c, i_mat, scale * mu_n), scale * rho_n)[0]
+                scale *= 0.7
+                warm_steps += 1
+
+        # Step 1 has weight 0, so reads no C_prev; max_iter >= 1 sets x and iterations.
         t = 1.0
         trace: list[float] = []
         rank_c: list[int] = []
@@ -418,6 +452,7 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             rank_c=rank_c,
             nnz_x=nnz_x,
             rel_gap=rel_gap,
+            warm_steps=warm_steps,
         )
 
 

@@ -169,8 +169,9 @@ def test_decompose_calls_update_target_through_the_module(monkeypatch):
     matrix = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
     result = suppression.decompose(matrix, suppression.SolverConfig(max_iter=30))
     assert result.iterations_run > 1
-    # a restart discards the extrapolated step and takes the plain one
-    assert len(calls) == result.iterations_run + result.restarts
+    # a restart discards the extrapolated step and takes the plain one; each warm step takes one
+    assert result.warm_steps > 0
+    assert len(calls) == result.iterations_run + result.restarts + result.warm_steps
 
 
 def test_pipeline2d_scenes_pass_the_benchmark_check(tmp_path):

@@ -758,6 +758,18 @@ class TestPipeline:
         assert not (out / "report.txt").exists()
         assert {"target", "interference"} <= set(manifest["artifacts"])
 
+    def test_decomposition_record_counts_the_warm_steps(self, tmp_path):
+        out = tmp_path / "out"
+        config = parse_config(pipeline_config(out))
+        run_pipeline(config, stages=["simulate", "compress", "image", "suppress"])
+        record = json.loads((out / "decomposition.json").read_text())
+        image, _ = read_array(out / "image_raw.nfsc")
+        res = decompose(image, config.solver)
+        assert record["slices"][0]["warm_steps"] == record["warm_steps"] == res.warm_steps > 0
+        assert record["slices"][0]["iterations"] == res.iterations_run
+        lines = (out / "objective_trace.csv").read_text().splitlines()
+        assert len(lines) == res.iterations_run + 1  # the warm steps are not traced
+
     def test_missing_upstream_artifact_named(self, tmp_path):
         out = tmp_path / "out"
         config = parse_config(pipeline_config(out))
@@ -968,10 +980,12 @@ class TestPipeline:
         slices = record["slices"]
         assert len(slices) == 7
         assert record["iterations"] == sum(s["iterations"] for s in slices)
+        assert record["warm_steps"] == sum(s["warm_steps"] for s in slices)
         assert record["converged"] == all(s["converged"] for s in slices)
         assert record["residual_norm"] == pytest.approx(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices)))
         for s in slices:
-            assert set(s) == {"mu", "rho", "iterations", "converged", "residual_norm", "restarts", "rel_gap"}
+            assert set(s) == {"mu", "rho", "iterations", "warm_steps", "converged", "residual_norm", "restarts",
+                              "rel_gap"}
             assert (s["mu"], s["rho"]) == (0.05, 0.5)
         assert record["rel_gap"] == max(s["rel_gap"] for s in slices)
         lines = (out / "objective_trace.csv").read_text().splitlines()

@@ -35,15 +35,32 @@ def rank_k(rng, n, sigmas):
     return (qa * np.asarray(sigmas)) @ qb.conj().T
 
 
+def warm_start(i, mu, rho):
+    """decompose's continuation run by hand: plain steps at weights s*mu and s*rho.
+
+    s starts at 0.99*sigma_1/rho, sigma_1 from the eigenvalues of the smaller
+    Gram matrix, and shrinks by 0.7 while it exceeds 1.  Returns the last C
+    and the number of steps.
+    """
+    a = i if i.shape[0] <= i.shape[1] else i.T
+    scale = 0.99 * math.sqrt(np.linalg.eigvalsh(a @ a.conj().T)[-1]) / rho
+    c, steps = np.zeros_like(i), 0
+    while scale > 1.0:
+        c = update_interference(update_target(c, i, scale * mu), i, scale * rho)
+        scale *= 0.7
+        steps += 1
+    return c, steps
+
+
 def accelerated_reference(i, mu, rho, n_iter):
     """decompose's accelerated iteration run by hand through the public step functions.
 
-    Returns the last X and C, the trace, the number of restarts and, per
-    iteration, the rank of C (singular values of the step matrix above the
-    threshold) and the nonzeros of X.
+    Starts from the C of warm_start.  Returns the last X and C, the trace,
+    the number of restarts and, per iteration, the rank of C (singular values
+    of the step matrix above the threshold) and the nonzeros of X.
     """
     x = np.zeros_like(i)
-    c = np.zeros_like(i)
+    c, _ = warm_start(i, mu, rho)
     c_prev = c
     t = 1.0
     trace, ranks, nnz = [], [], []
@@ -575,12 +592,14 @@ class TestDecompose:
         assert not np.any(res.interference)
 
     def test_one_iteration_is_the_first_target_step(self):
-        # The first step has momentum weight 0: it starts from C = 0 and reads no earlier iterate.
+        # The first step has momentum weight 0: it starts from the warm C and reads no earlier iterate.
         i = low_rank_plus_spikes(np.random.default_rng(31), (12, 40))
         res = decompose(i, SolverConfig(mu=0.1, rho=1.0, auto_weights=False, max_iter=1))
         assert res.iterations_run == 1 and not res.converged
         assert len(res.objective_trace) == len(res.rank_c) == len(res.nnz_x) == len(res.rel_gap) == 1
-        expected = update_target(np.zeros_like(i), i, 0.1)
+        c_warm, steps = warm_start(i, 0.1, 1.0)
+        assert res.warm_steps == steps > 0
+        expected = update_target(c_warm, i, 0.1)
         assert np.abs(res.target - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_target_and_trace_are_the_iteration_and_rank_is_the_last_svt(self):
@@ -654,11 +673,12 @@ class TestDecompose:
         assert res.objective_trace[-1] <= plain_objective
 
     def test_extrapolated_step_that_repeats_the_iterate_is_not_convergence(self):
-        # Here X empties at iteration 5 and the extrapolated step 6 gives
-        # X = 0 again, so C and X repeat exactly; the optimum has 2 nonzeros.
-        rng = np.random.default_rng(24)
+        # Here, after 4 warm steps, X empties at iteration 5 and the extrapolated
+        # step 6 gives X = 0 again, so C and X repeat exactly; the optimum has 2 nonzeros.
+        rng = np.random.default_rng(196)
         i = random_complex(rng, (7, 1)) @ random_complex(rng, (1, 8)) + random_complex(rng, (7, 8), scale=0.3)
         res = decompose(i)
+        assert res.warm_steps == 4
         assert res.nnz_x[4:6] == [0, 0]
         x_ref, _, _, p_star = plain_bcd(i, res.mu, res.rho, tol=1e-12)
         assert np.count_nonzero(x_ref) == 2
@@ -764,6 +784,42 @@ class TestDecompose:
         rng = np.random.default_rng(29)
         with pytest.raises(RuntimeError, match="^non-finite iterate at iteration 1$"):
             decompose(low_rank_plus_spikes(rng, (12, 40)), SolverConfig(mu=0.1, rho=1.0, auto_weights=False))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("rho, steps", [(0.1, 13), (1.0, 7), (2.0, 5), (4.0, 3)])
+    def test_step_count_is_the_schedule_on_a_known_sigma1(self, rho, steps):
+        # sigma_1 = 10; at rho = 1, s takes 9.9, 6.93, 4.85, 3.40, 2.38, 1.66, 1.16 and stops at 0.82.
+        i = rank_k(np.random.default_rng(40), 12, [10.0, 3.0, 1.0])
+        res = decompose(i, SolverConfig(mu=0.05, rho=rho, auto_weights=False))
+        assert res.warm_steps == warm_start(i, 0.05, rho)[1] == steps
+        assert res.converged and len(res.objective_trace) == res.iterations_run
+
+    @pytest.mark.parametrize("factor", [(1 + 1e-12) / 0.99, 1.5, 4.0])
+    def test_rho_at_or_above_sigma1_over_0_99_starts_from_zero(self, factor):
+        i = low_rank_plus_spikes(np.random.default_rng(41), (12, 40))
+        mu, rho = 0.1, factor * np.linalg.svd(i, compute_uv=False)[0]
+        c_warm, steps = warm_start(i, mu, rho)
+        assert steps == 0 and not np.any(c_warm)
+        res = decompose(i, SolverConfig(mu=mu, rho=rho, auto_weights=False, max_iter=3, tol=1e-300))
+        x, _, trace, restarts, ranks, nnz = accelerated_reference(i, mu, rho, res.iterations_run)
+        assert res.warm_steps == 0
+        assert np.array_equal(res.target, x)
+        assert res.objective_trace == pytest.approx(trace, rel=1e-12, abs=0)
+        assert (res.restarts, res.rank_c, res.nnz_x) == (restarts, ranks, nnz)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (0, 3)])
+    @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(mu=0.1, rho=1.0, auto_weights=False)])
+    def test_zero_input_takes_no_warm_step(self, cfg, shape):
+        res = decompose(np.zeros(shape, dtype=complex), cfg)
+        assert res.warm_steps == 0 and res.iterations_run == 1 and res.converged
+
+    def test_max_iter_counts_only_the_traced_iterations(self):
+        i = low_rank_plus_spikes(np.random.default_rng(28), (12, 40))
+        res = decompose(i, SolverConfig(mu=0.1, rho=1.0, auto_weights=False, max_iter=5))
+        assert res.warm_steps == warm_start(i, 0.1, 1.0)[1] > 0
+        assert res.iterations_run == 5 and not res.converged
+        assert len(res.objective_trace) == len(res.rank_c) == len(res.nnz_x) == len(res.rel_gap) == 5
 
 
 def volume_grid(p, q, o):
