@@ -522,14 +522,11 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
         }
         for r in results
     ]
-    record = {
-        "mu": results[0].mu,
-        "rho": results[0].rho,
-        "iterations": sum(r.iterations_run for r in results),
-        "warm_steps": sum(r.warm_steps for r in results),
-        "converged": all(r.converged for r in results),
-        "rel_gap": max(r.rel_gap[-1] for r in results),
-        "residual_norm": float(np.sqrt(sum(r.residual_norm**2 for r in results))),
+    record = {  # the slices' aggregates only: weights belong to a slice
+        **{key: sum(s[key] for s in slices) for key in ("iterations", "warm_steps", "restarts")},
+        "converged": all(s["converged"] for s in slices),
+        "rel_gap": max(s["rel_gap"] for s in slices),
+        "residual_norm": float(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices))),
         "slices": slices,
     }
     _write_text(out / "decomposition.json", json.dumps(record, indent=2, sort_keys=True) + "\n")

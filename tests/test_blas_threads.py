@@ -119,7 +119,23 @@ class TestThreadCount:
         assert all(r.target.tobytes() == ref.target.tobytes() for r in results)
 
 
-def test_numpy_s_own_openblas_serves_the_svt_without_eigh(monkeypatch):
+@pytest.fixture(scope="module")
+def pipeline2d_image():
+    """pipeline2d's in-memory image at seed 1 and its solver config."""
+    cfg = dataclasses.replace(cli_io.load_config(CONFIGS / "pipeline2d.json"), seed=1)
+    echo = core_model.synthesize_echo(cfg.radar, cfg.aperture, cfg.scene, seed=cfg.seed)
+    profiles = imaging.range_compress(core_model.apply_saturation(echo, cfg.saturation), cfg.oversample)
+    return imaging.backproject_2d(profiles, cfg.grid).values, cfg.solver
+
+
+def counting_eigh(monkeypatch):
+    """Count the calls of np.linalg.eigh."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    return calls
+
+
+def test_numpy_s_own_openblas_serves_the_svt_without_eigh(monkeypatch, pipeline2d_image):
     """Where numpy ships its scipy_openblas, the SVT must find zheevr there and use it.
 
     Without it the solver falls back to a full eigh at every step, which gives
@@ -129,15 +145,21 @@ def test_numpy_s_own_openblas_serves_the_svt_without_eigh(monkeypatch):
     if not getattr(get_threads, "__name__", "").startswith("scipy_openblas"):
         pytest.skip("numpy's BLAS exports no scipy_openblas thread-count symbol")
     assert suppression._lapacke_zheevr() is not None
-    cfg = dataclasses.replace(cli_io.load_config(CONFIGS / "pipeline2d.json"), seed=1)
-    echo = core_model.synthesize_echo(cfg.radar, cfg.aperture, cfg.scene, seed=cfg.seed)
-    profiles = imaging.range_compress(core_model.apply_saturation(echo, cfg.saturation), cfg.oversample)
-    image = imaging.backproject_2d(profiles, cfg.grid)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
-    res = decompose(image.values, cfg.solver)
+    calls = counting_eigh(monkeypatch)
+    res = decompose(*pipeline2d_image)
     assert res.converged and res.iterations_run > 1 and calls == []
+
+
+def test_without_zheevr_eigh_serves_the_svt_with_the_same_counts(monkeypatch, pipeline2d_image):
+    """The eigh fallback takes the same steps as zheevr and the same target to rounding."""
+    ref = decompose(*pipeline2d_image)
+    monkeypatch.setattr(suppression, "_lapacke_zheevr", lambda: None)
+    calls = counting_eigh(monkeypatch)
+    res = decompose(*pipeline2d_image)
+    assert calls
+    counts = ("iterations_run", "warm_steps", "restarts", "rank_c", "nnz_x")
+    assert [getattr(res, name) for name in counts] == [getattr(ref, name) for name in counts]
+    assert np.abs(res.target - ref.target).max() <= 1e-11 * np.abs(ref.target).max()
 
 
 def run_under_pools(args, out_dirs=None):
@@ -154,9 +176,18 @@ def run_under_pools(args, out_dirs=None):
     return [out for out, _ in outputs]
 
 
-def test_pipeline_files_are_the_same_bytes_under_any_pool(tmp_path):
+@pytest.mark.parametrize("config, stages", [
+    ("pipeline2d.json", []),
+    ("volume3d.json", ["--stages", "simulate,compress,image,suppress"]),
+], ids=["pipeline2d", "volume3d"])
+def test_pipeline_files_are_the_same_bytes_under_any_pool(tmp_path, config, stages):
+    """Every file is the same bytes under each pool, and every solve is certified.
+
+    The certificate: each slice converged, to a relative duality gap of at most
+    1e-6, after at least one warm step.
+    """
     outs = [tmp_path / f"threads{t}" for t in POOL_SIZES]
-    args = ["-m", "nfsar.cli_io", "pipeline", "--config", str(CONFIGS / "pipeline2d.json"), "--seed", "1", "--out"]
+    args = ["-m", "nfsar.cli_io", "pipeline", "--config", str(CONFIGS / config), "--seed", "1", *stages, "--out"]
     run_under_pools(args, outs)
     names = sorted(p.name for p in outs[0].iterdir() if p.is_file())
     assert {"decomposition.json", "objective_trace.csv", "manifest.json"} <= set(names)
@@ -164,6 +195,12 @@ def test_pipeline_files_are_the_same_bytes_under_any_pool(tmp_path):
         assert sorted(p.name for p in out.iterdir() if p.is_file()) == names
         for name in names:
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), f"{out.name}/{name}"
+    slices = json.loads((outs[0] / "decomposition.json").read_text())["slices"]
+    assert slices
+    for k, s in enumerate(slices):
+        assert s["converged"] is True and s["rel_gap"] <= 1e-6 and s["warm_steps"] >= 1, (
+            f"slice {k}: {s['iterations']} iterations, {s['warm_steps']} warm steps, {s['restarts']} restarts, "
+            f"converged {s['converged']}, rel_gap {s['rel_gap']}")
 
 
 VOLUME3D = """

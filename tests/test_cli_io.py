@@ -969,9 +969,12 @@ class TestPipeline:
         assert (out / "target_db.pgm").exists()
         assert (out / "report.txt").exists()
 
-    def test_3d_per_slice_run_records_every_slice(self, tmp_path):
+    @pytest.mark.parametrize("auto_weights", [False, True], ids=["fixed-weights", "auto-weights"])
+    def test_3d_per_slice_run_records_every_slice(self, tmp_path, auto_weights):
         out = tmp_path / "out3"
         cfg = volume_config(out)
+        if auto_weights:
+            cfg["solver"] = {"auto_weights": True}
         cfg["solver"]["per_slice_3d"] = True
         cfg_path = tmp_path / "cfg3.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -979,14 +982,17 @@ class TestPipeline:
         record = json.loads((out / "decomposition.json").read_text())
         slices = record["slices"]
         assert len(slices) == 7
+        assert "mu" not in record and "rho" not in record
         assert record["iterations"] == sum(s["iterations"] for s in slices)
+        assert record["restarts"] == sum(s["restarts"] for s in slices)
         assert record["warm_steps"] == sum(s["warm_steps"] for s in slices)
         assert record["converged"] == all(s["converged"] for s in slices)
         assert record["residual_norm"] == pytest.approx(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices)))
         for s in slices:
             assert set(s) == {"mu", "rho", "iterations", "warm_steps", "converged", "residual_norm", "restarts",
                               "rel_gap"}
-            assert (s["mu"], s["rho"]) == (0.05, 0.5)
+        weights = {(s["mu"], s["rho"]) for s in slices}
+        assert len(weights) > 1 if auto_weights else weights == {(0.05, 0.5)}
         assert record["rel_gap"] == max(s["rel_gap"] for s in slices)
         lines = (out / "objective_trace.csv").read_text().splitlines()
         assert lines[0] == "slice,iteration,objective,rank_c,nnz_x,rel_gap"
