@@ -16,6 +16,7 @@ import dataclasses
 import fcntl
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
@@ -125,14 +126,23 @@ def _encoded_sha256(arr: np.ndarray, axes) -> str:
     return digest.hexdigest()
 
 
+def _element_count(extents) -> int:
+    """The element count of an array file's extents: each must be at least 1, the count at most MAX_TOTAL_ELEMENTS."""
+    if min(extents) < 1:
+        raise ArrayFormatError("zero extent")
+    if (total := math.prod(extents)) > MAX_TOTAL_ELEMENTS:
+        raise ArrayFormatError(f"extent overflow: {total} elements")
+    return total
+
+
 def write_array(path, data, axes: Sequence[tuple[float, float]]) -> str:
     """Write a complex array with per-axis (start, spacing) metadata.
 
     Samples are stored as interleaved little-endian float32 pairs in C
     order (last axis fastest).  Reading back a complex64 array is bit-exact.
-    Returns the sha256 of the file's bytes.  An array with a value that is
-    not finite in complex64 (NaN, inf, or beyond float32 range) is refused
-    before the file is opened.
+    Returns the sha256 of the file's bytes.  An array that read_array would
+    refuse for its extents, or with a value that is not finite in complex64
+    (NaN, inf, or beyond float32 range), is refused before the file is opened.
     """
     # A value beyond float32 range casts to inf.  In complex128 a sum of finite
     # complex64 values cannot overflow, so it is finite exactly when every
@@ -142,6 +152,7 @@ def write_array(path, data, axes: Sequence[tuple[float, float]]) -> str:
         finite = np.isfinite(arr.sum(dtype=np.complex128))
     if arr.ndim < 1 or arr.ndim > MAX_DIMS:
         raise ArrayFormatError(f"array rank {arr.ndim} outside supported 1..{MAX_DIMS}")
+    _element_count(arr.shape)
     if not finite:
         raise ArrayFormatError(f"{Path(path).name}: values not finite in complex64")
     if len(axes) != arr.ndim:
@@ -176,25 +187,12 @@ def read_array(path) -> tuple[np.ndarray, list[tuple[float, float]]]:
         raise ArrayFormatError(f"unknown dtype code {dtype}")
     if not 1 <= ndim <= MAX_DIMS:
         raise ArrayFormatError(f"unsupported dimension count {ndim}")
-    offset = 16
-    if len(raw) < offset + 8 * ndim:
+    offset = 16 + 24 * ndim  # the payload follows ndim extents (8 bytes each) and axes (16 bytes each)
+    if len(raw) < offset:
         raise ArrayFormatError("truncated header")
-    extents = struct.unpack_from(f"<{ndim}Q", raw, offset)
-    offset += 8 * ndim
-    total = 1
-    for e in extents:
-        if e < 1:
-            raise ArrayFormatError("zero extent")
-        total *= e
-    if total > MAX_TOTAL_ELEMENTS:
-        raise ArrayFormatError(f"extent overflow: {total} elements")
-    if len(raw) < offset + 16 * ndim:
-        raise ArrayFormatError("truncated header")
-    axes = []
-    for _ in range(ndim):
-        start, spacing = struct.unpack_from("<dd", raw, offset)
-        axes.append((start, spacing))
-        offset += 16
+    extents = struct.unpack_from(f"<{ndim}Q", raw, 16)
+    total = _element_count(extents)
+    axes = [struct.unpack_from("<dd", raw, 16 + 8 * ndim + 16 * k) for k in range(ndim)]
     if len(raw) - offset != 8 * total:
         raise ArrayFormatError(
             f"truncated payload: expected {8 * total} bytes, found {len(raw) - offset}"

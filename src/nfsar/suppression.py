@@ -215,14 +215,23 @@ def update_interference(target, interfered, rho: float) -> np.ndarray:
 
 
 def default_params(interfered) -> tuple[float, float]:
-    """Input-scaled weights: rho = sigma_1/4, mu = rho/sqrt(max dimension)."""
-    i_mat = np.asarray(interfered)
-    if not np.any(i_mat):
-        raise ValueError("default_params requires a non-zero input")
-    sigma1 = float(np.linalg.svd(i_mat, compute_uv=False)[0])
-    rho = sigma1 / 4.0
-    mu = rho / np.sqrt(max(i_mat.shape))
-    return mu, rho
+    """Input-scaled weights: rho = sigma_1/4, mu = rho/sqrt(max dimension).
+
+    sigma_1 is the square root of the top eigenvalue of A A^H, A being the input or its transpose (whichever
+    has fewer rows) over the power of two next above its largest component: A A^H neither overflows nor
+    underflows.  The values-only SVD costs more; norm(I, 2)'s full SVD raised volume3d's peak RSS 0.3 MB.
+    """
+    i_mat = np.asarray(interfered, dtype=np.complex128)
+    if i_mat.ndim != 2:
+        raise ValueError(f"default_params expects a 2D matrix, got {i_mat.ndim} dimensions")
+    peak = float(np.maximum(np.abs(i_mat.real).max(initial=0.0), np.abs(i_mat.imag).max(initial=0.0)))
+    if not 0.0 < peak < math.inf:  # NaN fails too
+        raise ValueError("default_params requires a finite, non-zero input")
+    exponent = math.frexp(peak)[1]
+    a = i_mat if i_mat.shape[0] <= i_mat.shape[1] else i_mat.T
+    a = _times_power_of_two(a, -exponent, np.empty_like(a))
+    rho = math.ldexp(math.sqrt(np.linalg.eigvalsh(a @ a.conj().T)[-1]), exponent) / 4.0
+    return rho / math.sqrt(max(i_mat.shape)), rho
 
 
 def _times_power_of_two(a: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
@@ -314,11 +323,11 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
 
     The start C comes from plain steps X = update_target(C, I, s*mu), C =
     SVT(I - X, s*rho), from C = 0 with s = 0.99*sigma_1(I)/rho, s shrinking
-    by 0.7 while it exceeds 1.  From about s = sigma_1(I)/rho up, the
-    scaled problem's C is 0, so s_0 starts just below that.  A zero input,
-    or rho at least sigma_1(I)/0.99, takes no such step.  These warm steps
-    are counted in warm_steps only: they enter no per-iteration list and do
-    not count toward max_iter.
+    by 0.7 while it exceeds 1; sigma_1(I) is 4*rho of default_params, whose
+    weights fill a None weight.  From s = sigma_1(I)/rho up, C = 0 solves
+    the scaled problem.  A zero input, or rho at least sigma_1(I)/0.99,
+    takes no such step.  These warm steps are counted in warm_steps only:
+    they enter no per-iteration list and do not count toward max_iter.
 
     Each iteration extrapolates Y = C + ((t_{k-1} - 1)/t_k)(C - C_prev),
     with t_0 = 1 and t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2, then takes
@@ -359,15 +368,12 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
         raise ValueError("decompose requires finite input")
 
     with _one_blas_thread():
-        mu, rho = cfg.mu, cfg.rho
-        if mu is None or rho is None:  # auto_weights: SolverConfig allows no other case
-            auto_mu, auto_rho = default_params(i_mat) if np.any(i_mat) else (0.0, 0.0)
-            mu = auto_mu if mu is None else mu
-            rho = auto_rho if rho is None else rho
-
         peak = max(np.abs(i_mat.real).max(initial=0.0), np.abs(i_mat.imag).max(initial=0.0))
         exponent = math.frexp(peak)[1]
         i_mat = _times_power_of_two(i_mat, -exponent, np.empty_like(i_mat))
+        auto_mu, auto_rho = default_params(i_mat) if peak else (0.0, 0.0)
+        mu = math.ldexp(auto_mu, exponent) if cfg.mu is None else cfg.mu
+        rho = math.ldexp(auto_rho, exponent) if cfg.rho is None else cfg.rho
         mu_n, rho_n = math.ldexp(mu, -exponent), math.ldexp(rho, -exponent)
 
         def step(c):
@@ -382,18 +388,14 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             gap = value - (theta * np.vdot(resid, i_mat).real - 0.5 * theta**2 * r_sq)
             return x_new, c_new, s, u, vh, value, float(gap / value) if value else 0.0
 
-        # Continuation: plain steps at both weights times s, from s0 = 0.99*sigma_1/rho (from
-        # about sigma_1/rho up, C = 0 is their answer) down by 0.7 while s > 1.  sigma_1 from the
-        # small Gram matrix: norm(I, 2)'s full SVD raised volume3d's peak RSS by about 0.3 MB.
+        # Continuation from s0 = 0.99*sigma_1/rho, sigma_1 being 4*auto_rho exactly, by 0.7 while s > 1.
         c = np.zeros_like(i_mat)
         warm_steps = 0
-        if peak and rho_n:
-            a = i_mat if i_mat.shape[0] <= i_mat.shape[1] else i_mat.T
-            scale = 0.99 * math.sqrt(np.linalg.eigvalsh(a @ a.conj().T)[-1]) / rho_n
-            while scale > 1.0:
-                c = _svt(i_mat - update_target(c, i_mat, scale * mu_n), scale * rho_n)[0]
-                scale *= 0.7
-                warm_steps += 1
+        scale = 0.99 * (4.0 * auto_rho) / rho_n if rho_n else 0.0
+        while scale > 1.0:
+            c = _svt(i_mat - update_target(c, i_mat, scale * mu_n), scale * rho_n)[0]
+            scale *= 0.7
+            warm_steps += 1
 
         # Step 1 has weight 0, so reads no C_prev; max_iter >= 1 sets x and iterations.
         t = 1.0

@@ -596,6 +596,11 @@ class TestArrayFormat:
             write_array(tmp_path / "x.nfsc", np.zeros((2, 2), dtype=np.complex64), [(0.0, 1.0)])
         assert not (tmp_path / "x.nfsc").exists()
 
+    def test_zero_extent_write_refused_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(ArrayFormatError, match="^zero extent$"):  # read_array's rule and message
+            write_array(tmp_path / "x.nfsc", np.zeros((0, 5), dtype=np.complex64), [(0.0, 1.0)] * 2)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
+
     def test_extent_overflow_rejected(self, tmp_path):
         import struct
 

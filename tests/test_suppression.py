@@ -532,8 +532,42 @@ class TestDefaultParams:
         with pytest.raises(ValueError):
             default_params(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, complex(1.0, np.nan), np.inf], ids=["nan", "imaginary-nan", "inf"])
+    def test_non_finite_input_rejected(self, value):
+        i = np.ones((3, 4), dtype=complex)
+        i[1, 2] = value
+        with pytest.raises(ValueError, match="^default_params requires a finite, non-zero input$"):
+            default_params(i)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4, 2)], ids=["1d", "3d"])
+    def test_non_matrix_rejected_by_its_rank(self, shape):
+        with pytest.raises(ValueError, match=f"^default_params expects a 2D matrix, got {len(shape)} dimensions$"):
+            default_params(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(30, 40), (40, 30)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160, 1e200, 2.0**-600])
+    def test_sigma_1_is_the_svd_s_at_any_scale_and_the_weights_are_decompose_s(self, shape, scale):
+        # Unscaled, the Gram matrix of the smallest inputs underflows and that of the largest overflows.
+        i = scale * random_complex(np.random.default_rng(17), shape)
+        mu, rho = default_params(i)
+        assert rho == pytest.approx(np.linalg.svd(i, compute_uv=False)[0] / 4.0, rel=1e-13, abs=0.0)
+        assert mu == rho / math.sqrt(40)
+        res = decompose(i, SolverConfig())
+        assert (res.mu, res.rho) == (mu, rho)
+
 
 class TestDecompose:
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(mu=0.05, rho=1.0, auto_weights=False)],
+                             ids=["auto-weights", "fixed-weights"])
+    def test_sigma_1_is_computed_once_and_by_no_svd(self, config, svd_calls, monkeypatch):
+        i = random_complex(np.random.default_rng(18), (30, 40))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(np.shape(a)) or eigvalsh(a, *args))
+        res = decompose(i, config)
+        assert res.converged and res.warm_steps > 0
+        assert calls == [(30, 30)]
+        assert svd_calls == []
+
     def test_zero_input_converges_immediately(self):
         res = decompose(np.zeros((4, 4), dtype=complex))
         assert res.iterations_run == 1
