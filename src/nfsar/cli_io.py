@@ -70,9 +70,21 @@ INTERFERENCE_FILE = "interference.nfsc"
 REFERENCE_FILE = "reference.nfsc"
 REPORT_FILE = "report.txt"
 MANIFEST_FILE = "manifest.json"
+DECOMPOSITION_FILE = "decomposition.json"
+TRACE_FILE = "objective_trace.csv"
+REPORT_CSV_FILE = "report.csv"
+# The bases of the dB exports; export_db_image writes each with both suffixes.
+IMAGE_DB, TARGET_DB, INTERFERENCE_DB = "image_raw_db", "target_db", "interference_db"
+_DB_SUFFIXES = (".pgm", ".csv")
 
 # The stage that writes each array file a later stage reads.
 _PRODUCERS = {ECHO_FILE: "simulate", PROFILES_FILE: "compress", IMAGE_FILE: "image", TARGET_FILE: "suppress"}
+# Every file a pipeline run writes, and so every name a temp file of _replacing carries.
+_OUTPUT_NAMES = frozenset(
+    [ECHO_FILE, PROFILES_FILE, IMAGE_FILE, TARGET_FILE, INTERFERENCE_FILE, REFERENCE_FILE, REPORT_FILE,
+     MANIFEST_FILE, DECOMPOSITION_FILE, TRACE_FILE, REPORT_CSV_FILE]
+    + [base + suffix for base in (IMAGE_DB, TARGET_DB, INTERFERENCE_DB) for suffix in _DB_SUFFIXES]
+)
 
 
 class ConfigError(ValueError):
@@ -389,8 +401,7 @@ def export_db_image(image: ComplexImage, floor_db: float, base_path) -> tuple[Pa
     pixels = np.clip(np.floor(255.0 * (db - floor_db) / (0.0 - floor_db) + 0.5), 0, 255)
     pixels = pixels.astype(np.uint8)
     base = Path(base_path)
-    pgm_path = base.with_suffix(".pgm")
-    csv_path = base.with_suffix(".csv")
+    pgm_path, csv_path = (base.with_suffix(suffix) for suffix in _DB_SUFFIXES)
     h, w = pixels.shape
     with _replacing(pgm_path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
@@ -492,7 +503,7 @@ def stage_image(config: PipelineConfig, out: Path, artifacts: dict, held: dict) 
     else:
         image = _image_from_profiles(config, _load_profiles(config, out, artifacts))
     entry = _write_image(out, IMAGE_FILE, image)
-    export_db_image(image, config.floor_db, out / "image_raw_db")
+    export_db_image(image, config.floor_db, out / IMAGE_DB)
     return {"image": entry}
 
 
@@ -527,15 +538,15 @@ def stage_suppress(config: PipelineConfig, out: Path, artifacts: dict, held: dic
         "residual_norm": float(np.sqrt(sum(s["residual_norm"] ** 2 for s in slices))),
         "slices": slices,
     }
-    _write_text(out / "decomposition.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_text(out / DECOMPOSITION_FILE, json.dumps(record, indent=2, sort_keys=True) + "\n")
     rows = [
         f"{k},{i},{val:.12e},{rank},{nnz},{gap:.12e}\n"
         for k, r in enumerate(results)
         for i, (val, rank, nnz, gap) in enumerate(zip(r.objective_trace, r.rank_c, r.nnz_x, r.rel_gap), start=1)
     ]
-    _write_text(out / "objective_trace.csv", "slice,iteration,objective,rank_c,nnz_x,rel_gap\n" + "".join(rows))
-    export_db_image(target, config.floor_db, out / "target_db")
-    export_db_image(interference, config.floor_db, out / "interference_db")
+    _write_text(out / TRACE_FILE, "slice,iteration,objective,rank_c,nnz_x,rel_gap\n" + "".join(rows))
+    export_db_image(target, config.floor_db, out / TARGET_DB)
+    export_db_image(interference, config.floor_db, out / INTERFERENCE_DB)
     return entries
 
 
@@ -559,7 +570,7 @@ def stage_evaluate(config: PipelineConfig, out: Path, artifacts: dict, held: dic
         raise PipelineError(f"evaluate: {exc}") from exc
     sha256 = _write_text(out / REPORT_FILE, report.to_text())
     header, row = report.to_csv_row()
-    _write_text(out / "report.csv", header + "\n" + row + "\n")
+    _write_text(out / REPORT_CSV_FILE, header + "\n" + row + "\n")
     return {"report": _entry(REPORT_FILE, sha256)}
 
 
@@ -592,6 +603,18 @@ def _output_lock(out: Path):
         yield
     finally:
         os.close(fd)
+
+
+def _remove_stale_temps(out: Path) -> None:
+    """Remove the .<name>.<pid>.tmp files that killed writes left in out.
+
+    Called under out's lock, when no other run can be writing there, so every
+    such file of a name a run writes is stale.  Other files are left alone.
+    """
+    for path in out.glob(".*.tmp"):
+        name, _, pid = path.name[1:-len(".tmp")].rpartition(".")
+        if pid.isdigit() and name in _OUTPUT_NAMES:
+            path.unlink(missing_ok=True)
 
 
 def _trusted_artifacts(manifest_path: Path, config_hash: str) -> dict:
@@ -641,6 +664,7 @@ def run_pipeline(config: PipelineConfig, stages: Sequence[str] | None = None) ->
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / MANIFEST_FILE
     with _output_lock(out):
+        _remove_stale_temps(out)
         artifacts = _trusted_artifacts(manifest_path, config.config_hash)
         held = {"stages": ordered}  # what one stage leaves in memory for a later one of this run
         for name in ordered:

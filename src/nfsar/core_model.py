@@ -326,7 +326,9 @@ def _carrier(dist: np.ndarray, steps_per_metre: float | np.ndarray, out: np.ndar
     v -= 0.5
     v *= x2
     np.add(v, 1.0, out=poly.real)
-    np.take(_CARRIER_TABLE, index, out=out, mode="clip")  # "clip" skips numpy's copy for "raise"
+    # The method: the np.take wrapper adds about 1.3 us a call (10.4 against
+    # 9.1 us for 105x97 indices).  "clip" skips numpy's copy for "raise".
+    _CARRIER_TABLE.take(index, out=out, mode="clip")
     out *= poly
 
 

@@ -77,7 +77,7 @@ def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> np.ndarr
     """Linearly interpolate one profile column at fractional bin indices.
 
     The swath is the closed interval [0, len(col) - 1]; indices outside it
-    give zero.
+    give zero.  The reference that _gather reproduces, and the tests' oracle.
 
     bins, a float axis of the consecutive bins lo..hi, hands np.interp only
     col[lo:hi+1].  No index may lie below lo, nor at or above hi unless hi is
@@ -86,6 +86,44 @@ def _interpolate(col: np.ndarray, idx: np.ndarray, bins: np.ndarray) -> np.ndarr
     """
     lo, hi = int(bins[0]), int(bins[-1])
     return np.interp(idx, bins, col[lo:hi + 1], left=0.0, right=0.0)
+
+
+def _index_parts(idx: np.ndarray, whole: np.ndarray, row: np.ndarray) -> None:
+    """Write each delay index's integer part into row and leave its fractional
+    part in idx, for _gather; whole is a float work buffer.  An index is never
+    negative, so its floor is its integer cast, and idx - floor(idx) is exact,
+    as np.interp's x - j is."""
+    np.floor(idx, out=whole)
+    np.copyto(row, whole, casting="unsafe")
+    idx -= whole
+
+
+def _gather(col: np.ndarray, first: int, final: int, row: np.ndarray, frac: np.ndarray,
+            tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    """_interpolate's samples by np.interp's own arithmetic, as gathers.
+
+    Over bins spaced 1.0 apart np.interp takes slope[j] = col[j+1] - col[j]
+    and returns slope[j]*(x - j) + col[j], per real and imaginary part, for
+    j <= x < j + 1; the last bin itself is col[last].  Here value holds the
+    window first..final of col at its absolute bins, with zeros elsewhere, and
+    slope its differences.  row is each index's integer part and frac its
+    fractional part; numpy multiplies a complex sample by frac + 0j, which
+    takes each part times frac.  The indices keep _interpolate's rule for
+    the window, except that every delay past the last bin stands at
+    last + 1: a zero row, with frac 0.  The samples are
+    np.interp's but for the sign of a zero, which no voxel's sum keeps, as
+    long as the window is finite: np.interp has its own fallback for NaN.
+
+    tables is (value, slope, sample, term): two zeroed tables of last + 2 bins
+    and two buffers of row's shape.  The samples are written into sample.
+    """
+    value, slope, sample, term = tables
+    value[first:final + 1] = col[first:final + 1]
+    np.subtract(value[first + 1:final + 2], value[first:final + 1], out=slope[first:final + 1])
+    slope.take(row, out=sample, mode="clip")  # "clip" skips numpy's copy for "raise"
+    sample *= frac
+    sample += value.take(row, out=term, mode="clip")
+    return sample
 
 
 @dataclass(frozen=True)
@@ -178,8 +216,9 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
     the same order whatever the thread count, and the image is the same
     bytes on any number of cores.  The squared axis offsets for every
     position and each slab's window of profile bins are computed before the
-    position loop; a position then writes into the slab's buffers, and
-    np.interp's samples are the one slab-sized array it allocates per set.
+    position loop; a position then writes into the slab's buffers.  The
+    samples are gathered from the window's slope tables (_gather): np.interp's
+    bits in about half its time, and no array allocated per position.
     """
     profiles = sets[0]
     shared = (profiles.radar, profiles.aperture, profiles.oversample)
@@ -223,31 +262,38 @@ def _backproject(sets: tuple[RangeProfileSet, ...], grid: ImageGrid) -> list[Com
         near, far = (delay_index(np.sqrt((f(dx2) + f(dy2)) + f(dz2))) for f in (np.min, np.max))
         first = int(np.clip(np.floor(near), 0, last))
         final = int(np.clip(np.floor(far) + 1, 0, last))  # above every index unless last
-        bins = np.arange(first, final + 1, dtype=float)
         # Work buffers, allocated once per slab and rewritten at every position.
         shape = accs.shape[1:]
         dist = np.empty(shape)
-        dxy = np.empty(shape[:2] + (1,))  # dx**2 + dy**2
+        # dx**2 + dy**2; a 2D grid lies in the aperture's height plane, where dz is 0.
+        dxy = np.empty(shape[:2] + (1,)) if grid.ndim == 3 else dist
         idx = np.empty(shape)
         carrier = np.empty(shape, dtype=np.complex128)
         work = _carrier_work(shape)
+        row = np.empty(shape, dtype=np.intp)
+        tables = (np.zeros(last + 2, dtype=np.complex128), np.zeros(last + 2, dtype=np.complex128),
+                  np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128))
         oos = 0
         for n in range(len(positions)):
             np.add(dx2[n], dy2[n], out=dxy)
-            np.add(dxy, dz2[n], out=dist)
+            if dxy is not dist:
+                np.add(dxy, dz2[n], out=dist)
             np.sqrt(dist, out=dist)
             delay_index(dist, idx)
             if final == last:  # a delay is never negative: only the far end needs a count
-                oos += int(np.count_nonzero(idx > last))
+                beyond = idx > last
+                oos += int(np.count_nonzero(beyond))
+                # Onto last + 1, the tables' zero row, as np.interp zeroes them; no huge index is cast.
+                np.copyto(idx, last + 1, where=beyond)
             _carrier(dist, steps_per_metre, carrier, work)
+            _index_parts(idx, dist, row)  # idx keeps the fractions; dist, read by the carrier, is free
             for acc, s in zip(accs, sets):
-                sample = _interpolate(s.profiles[:, n], idx, bins)
+                sample = _gather(s.profiles[:, n], first, final, row, idx, tables)
                 # Always carrier * sample: a complex product rounds differently
                 # with its operand order, and one fixed order keeps every voxel's
                 # sum, and so the image, the same bytes at any thread count.
                 np.multiply(carrier, sample, out=sample)
                 acc += sample
-                del sample  # freed before the next samples are made
         return oos
 
     threads = _slab_count(grid.shape)

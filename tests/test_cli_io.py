@@ -900,6 +900,22 @@ class TestPipeline:
         assert (out / "echo.nfsc").exists()
         assert (out / ".lock").read_bytes() == b""
 
+    def test_temp_files_of_killed_writes_are_removed_under_the_lock(self, tmp_path):
+        # A write killed inside _replacing leaves .<name>.<pid>.tmp behind.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text("")
+        (out / ".profiles.nfsc.12345.tmp").write_bytes(b"partial")
+        (out / ".report.csv.7.tmp").write_bytes(b"partial")
+        unrelated = [".notes.12345.tmp", ".profiles.nfsc.tmp", ".profiles.nfsc.pid.tmp", ".profiles.nfsc.12345"]
+        for name in unrelated:
+            (out / name).write_bytes(b"kept")
+        run_pipeline(parse_config(pipeline_config(out)))
+        names = {p.name for p in out.iterdir()}
+        assert {name for name in names if name.startswith(".")} == {".lock", *unrelated}
+        assert all((out / name).read_bytes() == b"kept" for name in unrelated)
+        assert {name for name in names if not name.startswith(".")} == cli_io._OUTPUT_NAMES  # every name swept
+
     def test_lock_of_a_killed_holder_is_released(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -53,6 +53,10 @@ def grid2d(r0, nr, a0, na, spacing=0.025):
     return ImageGrid((GridAxis(r0, spacing, nr), GridAxis(a0, spacing, na)))
 
 
+def random_column(rng, nbins):
+    return rng.standard_normal(nbins) + 1j * rng.standard_normal(nbins)
+
+
 def interpolate_profile(profiles, slow_time_index, tau):
     """Profile slow_time_index linearly interpolated at fast time tau [s], zero
     outside the closed swath [0, max tau]: the per-sample oracle that the
@@ -557,14 +561,14 @@ class TestSlabThreads:
     def test_error_in_a_worker_slab_is_raised_to_the_caller(self, monkeypatch):
         profiles, grid, backproject = self.case(2, self.R_U - 0.5)
         self.pretend_cpus(monkeypatch, 2)
-        interpolate = imaging._interpolate
+        gather = imaging._gather
 
-        def fails_off_the_main_thread(col, idx, bins):
+        def fails_off_the_main_thread(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker slab failed")
-            return interpolate(col, idx, bins)
+            return gather(*args)
 
-        monkeypatch.setattr(imaging, "_interpolate", fails_off_the_main_thread)
+        monkeypatch.setattr(imaging, "_gather", fails_off_the_main_thread)
         with pytest.raises(RuntimeError, match="worker slab failed"):
             backproject(profiles, grid)
 
@@ -577,6 +581,62 @@ class TestSlabThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert imaging._slab_count((41, 31, 31)) == 2
         assert imaging._slab_count((3, 400, 400)) == 2
+
+
+class TestGatherKernel:
+    """The gather gives _interpolate's samples (compared with ==)."""
+
+    NBINS = 300
+
+    @staticmethod
+    def gather(col, idx, first, final, tables):
+        """_gather's samples at idx, prepared as a slab prepares them."""
+        last = len(col) - 1
+        moved = np.where(idx > last, last + 1.0, idx)  # the slab moves delays past the last bin there
+        whole, row = np.empty(idx.shape), np.empty(idx.shape, dtype=np.intp)
+        imaging._index_parts(moved, whole, row)  # leaves the fractions in moved
+        return imaging._gather(col, first, final, row, moved, tables).copy()
+
+    def windows(self, rng):
+        """Random windows with their indices: below final, or anywhere past first if final is the last bin."""
+        last = self.NBINS - 1
+        for k in range(60):
+            first = int(rng.integers(0, last))
+            final = last if k % 3 == 0 else int(rng.integers(first + 1, last + 1))
+            idx = [rng.uniform(first, final, 500), np.arange(first, final, dtype=float)]  # exact integers too
+            if final == last:
+                idx += [[last, np.nextafter(last, np.inf), last + 0.5, np.nextafter(last + 1, 0)],  # (last, last + 1)
+                        rng.uniform(last + 1, 1e6, 20), [last + 1.0, 1e300]]  # beyond the swath
+            yield first, final, np.concatenate(idx).reshape(-1, 1, 1)
+        yield last, last, np.array([last, last + 0.25, 1e3]).reshape(-1, 1, 1)  # a one-bin window
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_same_samples_as_np_interp(self, dtype):
+        rng = np.random.default_rng(36)
+        zeroed = (np.zeros(self.NBINS + 1, complex), np.zeros(self.NBINS + 1, complex))  # shared, as in a slab
+        compared = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, such as a cast of a huge index
+            for first, final, idx in self.windows(rng):
+                col = random_column(rng, self.NBINS).astype(dtype)
+                tables = zeroed + (np.empty(idx.shape, complex), np.empty(idx.shape, complex))
+                expected = imaging._interpolate(col, idx, np.arange(first, final + 1, dtype=float))
+                got = self.gather(col, idx, first, final, tables)
+                assert np.array_equal(got, expected), (first, final)
+                compared += idx.size
+        assert compared > 60 * 500
+
+    def test_tables_serve_set_after_set(self):
+        # A slab rewrites one pair of tables for every set and position of its window.
+        rng = np.random.default_rng(37)
+        last = self.NBINS - 1
+        idx = np.concatenate([rng.uniform(200, last, 400), [last, last + 0.5, 500.0]]).reshape(-1, 1, 1)
+        tables = (np.zeros(last + 2, complex), np.zeros(last + 2, complex),
+                  np.empty(idx.shape, complex), np.empty(idx.shape, complex))
+        bins = np.arange(200, last + 1, dtype=float)
+        for _ in range(3):
+            col = random_column(rng, self.NBINS)
+            assert np.array_equal(self.gather(col, idx, 200, last, tables), imaging._interpolate(col, idx, bins))
 
 
 class TestBackprojectReference:
@@ -640,6 +700,29 @@ class TestBackprojectReference:
         (record,) = caught
         assert str(record.message) == f"{beyond} of {total} voxel contributions fell outside the swath and were zeroed"
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_delays_just_past_the_last_bin_are_zeroed(self, monkeypatch, ndim):
+        # Between the last bin and the zero row past it, the slope tables
+        # would hand a delay part of the last sample: the slab moves such
+        # delays onto the zero row, as np.interp zeroes them.
+        scene = Scene(interferers=[Interferer(RADAR.unambiguous_range - 0.05)], noise_sigma=0.05)
+        profiles, _, backproject = self.case(monkeypatch, ndim, 1, 0.0, scene)
+        bin_range = profiles.tau_spacing * C / 2
+        far = profiles.tau_axis[-1] * C / 2  # the last bin's range
+        # Two range rows on the aperture's axis: one half a bin inside the
+        # last bin, one 0.3 of a bin past it.
+        axes = (GridAxis(far - 0.5 * bin_range, 0.8 * bin_range, 2),) + (GridAxis(0.0, 1.0, 1),) * (ndim - 1)
+        grid = ImageGrid(axes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            image = backproject(profiles, grid).values
+        expected, beyond, _ = self.brute_force(profiles, grid)
+        positions = profiles.aperture.num_positions
+        assert beyond == positions  # every delay of the far row
+        assert str(caught[0].message).startswith(f"{positions} of {2 * positions} voxel contributions")
+        assert np.all(image[0] != 0) and np.all(image[1] == 0)
+        assert np.abs(image - expected).max() <= 1e-12 * np.abs(image).max()
+
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_every_voxel_from_the_aperture_line(self, monkeypatch, ndim, cpus):
@@ -649,13 +732,12 @@ class TestBackprojectReference:
         scene = Scene(targets=[PointTarget((0.01, 0.2, 0.0))], interferers=[Interferer(0.15)], noise_sigma=0.05)
         profiles, grid, backproject = self.case(monkeypatch, ndim, cpus, 0.0, scene)
         windows = []
-        interpolate = imaging._interpolate
-        monkeypatch.setattr(imaging, "_interpolate", lambda col, idx, bins: windows.append(int(bins[0]))
-                            or interpolate(col, idx, bins))
+        gather = imaging._gather
+        monkeypatch.setattr(imaging, "_gather", lambda col, first, *rest: windows.append(first)
+                            or gather(col, first, *rest))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             image = backproject(profiles, grid).values
-        monkeypatch.setattr(imaging, "_interpolate", interpolate)  # the oracle's whole-column calls are not windows
         assert caught == []
         assert 0 in windows and len(set(windows)) == cpus
 
@@ -725,13 +807,13 @@ class TestBackprojectSets:
 
 class TestPositionLoopMemory:
     @pytest.mark.parametrize("ndim", [2, 3])
-    def test_only_the_interpolated_samples_are_allocated_per_position(self, monkeypatch, ndim):
+    def test_no_slab_sized_array_is_allocated_per_position(self, monkeypatch, ndim):
         # Traced allocations between checkpoints at the entry and exit of
-        # _interpolate and _carrier, in one slab of 48,000 voxels away from
-        # the swath's ends: np.interp's samples are the one full-size array a
-        # position allocates.  Broadcasting adds get numpy's iterator buffers,
-        # at most 8192 elements per operand whatever the grid's size, which
-        # is why the slab holds more than 16,384 voxels.
+        # _gather and _carrier, in one slab of 48,000 voxels away from the
+        # swath's ends: both write into the slab's buffers.  Broadcasting adds
+        # get numpy's iterator buffers, at most 8192 elements per operand
+        # whatever the grid's size, which is why the slab holds more than
+        # 16,384 voxels.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         scene = Scene(targets=[PointTarget((0.0, 3.0, 0.0))])
         if ndim == 3:
@@ -751,12 +833,12 @@ class TestPositionLoopMemory:
             tracemalloc.reset_peak()
             last.update(name=name, current=current)
 
-        interpolate, carrier = imaging._interpolate, imaging._carrier
+        gather, carrier = imaging._gather, imaging._carrier
 
-        def traced_interpolate(*args):
-            checkpoint("interpolate")
-            result = interpolate(*args)
-            checkpoint("interpolated")
+        def traced_gather(*args):
+            checkpoint("gather")
+            result = gather(*args)
+            checkpoint("gathered")
             return result
 
         def traced_carrier(*args):
@@ -764,17 +846,15 @@ class TestPositionLoopMemory:
             carrier(*args)
             checkpoint("carried")
 
-        monkeypatch.setattr(imaging, "_interpolate", traced_interpolate)
+        monkeypatch.setattr(imaging, "_gather", traced_gather)
         monkeypatch.setattr(imaging, "_carrier", traced_carrier)
         tracemalloc.start()
         try:
             backproject_3d(profiles, grid) if ndim == 3 else backproject_2d(profiles, grid)
         finally:
             tracemalloc.stop()
-        assert set(growth) == {"interpolate -> interpolated", "interpolated -> carrier",
-                               "carrier -> carried", "carried -> interpolate"}
-        samples = 16 * voxels  # complex128
-        assert samples <= max(growth.pop("interpolate -> interpolated")) < samples + voxels
+        assert set(growth) == {"gather -> gathered", "gathered -> carrier",
+                               "carrier -> carried", "carried -> gather"}
         assert all(max(g) < 8 * voxels for g in growth.values())  # not one float64 slab array
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -740,6 +741,18 @@ class TestDecompose:
         assert (p - dual) / p == pytest.approx(res.rel_gap[-1], abs=1e-9)
         assert p - dual >= -1e-12
         assert res.rel_gap[-1] <= SolverConfig().tol
+
+    def test_rel_gap_is_never_negative(self, tmp_path):
+        # pipeline2d's CLI image at seed 3 under the default config stops after
+        # one step with X = 0, where the gap is pure rounding: -1.65e-16 unfloored.
+        from nfsar import cli_io
+
+        config = cli_io.load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "pipeline2d.json")
+        config = dataclasses.replace(config, seed=3, output_dir=str(tmp_path))
+        cli_io.run_pipeline(config, ["simulate", "compress", "image"])
+        image, _ = cli_io.read_array(tmp_path / cli_io.IMAGE_FILE)
+        res = decompose(image, SolverConfig())
+        assert res.converged and res.rel_gap == [0.0]
 
     def test_stop_at_max_iter_is_not_converged_and_reports_its_gap(self):
         rng = np.random.default_rng(28)
